@@ -13,10 +13,17 @@ import os
 import sys
 from pathlib import Path
 
-from .kernel import NULL_ACTION, Signature, StateSet, format_state_set, models
-from .update import update, update_seq
+from .kernel import (
+    Signature,
+    StateSet,
+    format_state_set,
+    models,
+    signature_data,
+    states_data,
+)
+from .update import update_seq
 from .revision import RankingAssignment, dalal_assignment, revise
-from .evolution import consistent, evolve, preimage, repairs
+from .evolution import consistent, evolve, evolve_skeptical, preimage, repairs
 from .dsl import (
     DomainDoc,
     ParseError,
@@ -28,7 +35,6 @@ from .dsl import (
     parse_state_set,
     ranking_assignment,
     serialize_result,
-    states_data,
 )
 from .postulates import lehmann_counterexample, run_suite
 
@@ -169,13 +175,7 @@ def _parse_value_set(value: str, sig: Signature, what: str) -> StateSet:
 
 
 def _set_doc(sig: Signature, states: StateSet) -> str:
-    doc = {
-        "signature": {
-            "fluents": list(sig.fluents),
-            "actions": [a for a in sig.actions if a != NULL_ACTION],
-        },
-        "result": states_data(sig, states),
-    }
+    doc = {"signature": signature_data(sig), "result": states_data(sig, states)}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -192,15 +192,8 @@ def _cmd_evolve(args: argparse.Namespace) -> tuple[str, int]:
     except ParseError as e:
         raise _CliError(f"{args.scenario}: {e}")
     assign, _ = _resolve_ranking(args.ranking, dom)
-    res = evolve(sc.initial, sc.view, dom.ts, assign, sc.reliability_fn())
-    if sc.mode == "skeptical":
-        start: set[int] = set()
-        for t in res.trajectories:
-            start |= t[0]
-        merged = [frozenset(start)]
-        for a in sc.view.actions:
-            merged.append(update(merged[-1], a, dom.ts))
-        return serialize_result(tuple(merged), dom.signature, args.format, sc.name), 0
+    run = evolve_skeptical if sc.mode == "skeptical" else evolve
+    res = run(sc.initial, sc.view, dom.ts, assign, sc.reliability_fn())
     return serialize_result(res, dom.signature, args.format, sc.name), 0
 
 
@@ -246,10 +239,7 @@ def _cmd_repair(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "machine":
         doc = {
             "scenario": sc.name,
-            "signature": {
-                "fluents": list(dom.signature.fluents),
-                "actions": [a for a in dom.signature.actions if a != NULL_ACTION],
-            },
+            "signature": signature_data(dom.signature),
             "consistent": ok,
             "repairs": [
                 [states_data(dom.signature, o) for o in obs] for obs in reps

@@ -33,7 +33,8 @@ from .kernel import (
     format_state_set,
     make_signature,
     models,
-    true_fluents,
+    signature_data,
+    states_data,
     universe,
 )
 from .revision import FaithfulRanking, RankingAssignment, check_faithful
@@ -420,7 +421,8 @@ def serialize_domain(doc: DomainDoc) -> str:
         (t for t in doc.ts.relation if t[1] != NULL_ACTION),
         key=lambda t: (t[1], t[0], t[2]),
     ):
-        if s == d and not doc.strict:
+        # A lone self-loop is implicit; one beside other successors is not.
+        if s == d and not doc.strict and len(doc.ts.successors(s, a)) == 1:
             continue
         lines.append(
             f"transition {a}: {format_state(sig, s)} -> {format_state(sig, d)}"
@@ -742,11 +744,6 @@ def ranking_assignment(doc: RankingDoc) -> RankingAssignment:
 ResultLike = Union[EvolutionResult, BeliefTrajectory]
 
 
-def states_data(sig: Signature, states: StateSet) -> list[list[str]]:
-    """Machine encoding of a state set: sorted states as true-fluent lists."""
-    return [list(true_fluents(sig, s)) for s in sorted(states)]
-
-
 def _states_from_data(sig: Signature, data: Sequence[Sequence[str]]) -> StateSet:
     out = set()
     for names in data:
@@ -761,13 +758,7 @@ def result_to_data(
     res: ResultLike, sig: Signature, scenario: str = ""
 ) -> dict:
     """Self-describing machine document for an evolution outcome."""
-    doc: dict = {
-        "scenario": scenario,
-        "signature": {
-            "fluents": list(sig.fluents),
-            "actions": [a for a in sig.actions if a != NULL_ACTION],
-        },
-    }
+    doc: dict = {"scenario": scenario, "signature": signature_data(sig)}
     if isinstance(res, EvolutionResult):
         doc["consistent"] = res.was_consistent
         doc["repairs"] = [

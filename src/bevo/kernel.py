@@ -100,6 +100,19 @@ def format_state_set(sig: Signature, states: Iterable[int]) -> str:
     return "{ " + inner + " }" if inner else "{ }"
 
 
+def states_data(sig: Signature, states: Iterable[int]) -> list[list[str]]:
+    """Machine encoding of a state set: sorted states as true-fluent lists."""
+    return [list(true_fluents(sig, s)) for s in sorted(states)]
+
+
+def signature_data(sig: Signature) -> dict:
+    """Machine encoding of a signature; the implicit noop action is left out."""
+    return {
+        "fluents": list(sig.fluents),
+        "actions": [a for a in sig.actions if a != NULL_ACTION],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Propositional formulas over the fluents.
 
@@ -278,8 +291,3 @@ def complete_transitions(
             elif (src, act) not in covered:
                 listed.add((src, act, src))
     return TransitionSystem(sig, frozenset(listed))
-
-
-def is_deterministic(ts: TransitionSystem) -> bool:
-    """True when every (state, action) pair has exactly one successor."""
-    return ts.deterministic

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .kernel import (
     NULL_ACTION,
@@ -20,8 +21,10 @@ from .kernel import (
     StateSet,
     TransitionSystem,
     complete_transitions,
+    format_state,
     format_state_set,
     make_signature,
+    states_data,
     true_fluents,
     universe,
 )
@@ -29,6 +32,7 @@ from .update import update, update_seq
 from .revision import (
     FaithfulRanking,
     RankingAssignment,
+    combined_change,
     dalal_assignment,
     revise,
 )
@@ -62,17 +66,12 @@ class Instance:
             "kappa " + format_state_set(sig, self.kappa),
         ]
         if self.ts is not None:
-            moves = sorted(
-                (s, a, d)
-                for s, a, d in self.ts.relation
-                if a != NULL_ACTION and s != d
-            )
             parts.append(
                 "transitions "
                 + "; ".join(
-                    f"{a}: {format_state_set(sig, [s])[2:-2]} -> "
-                    f"{format_state_set(sig, [d])[2:-2]}"
-                    for s, a, d in moves
+                    f"{a}: {format_state(sig, s)} -> {format_state(sig, d)}"
+                    for s, a, d in sorted(self.ts.relation)
+                    if a != NULL_ACTION and s != d
                 )
             )
         if self.actions:
@@ -85,7 +84,7 @@ class Instance:
         sig = self.signature
         data: dict = {
             "fluents": list(sig.fluents),
-            "kappa": _states_data(sig, self.kappa),
+            "kappa": states_data(sig, self.kappa),
         }
         if self.ts is not None:
             data["transitions"] = [
@@ -96,13 +95,9 @@ class Instance:
         if self.actions:
             data["actions"] = list(self.actions)
         data["observations"] = [
-            _states_data(sig, obs) for obs in self.observations
+            states_data(sig, obs) for obs in self.observations
         ]
         return data
-
-
-def _states_data(sig: Signature, states: StateSet) -> list[list[str]]:
-    return [list(true_fluents(sig, s)) for s in sorted(states)]
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,8 @@ class Violation:
         return {
             "postulate": self.postulate,
             "instance": self.instance.to_data(),
-            "lhs": _states_data(sig, self.lhs),
-            "rhs": _states_data(sig, self.rhs),
+            "lhs": states_data(sig, self.lhs),
+            "rhs": states_data(sig, self.rhs),
         }
 
 
@@ -164,16 +159,6 @@ class SuiteReport:
         }
 
 
-def _merge(suite: str, scope: str, reports: list[SuiteReport]) -> SuiteReport:
-    return SuiteReport(
-        suite,
-        scope,
-        sum(r.instances for r in reports),
-        tuple(v for r in reports for v in r.violations),
-        tuple(n for r in reports for n in r.notes),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Scope enumeration.
 
@@ -194,8 +179,10 @@ class ScopeBounds:
 
 
 def suite_signature(n_fluents: int, with_action: bool = True) -> Signature:
-    if n_fluents > len(_FLUENT_POOL):
-        raise ValueError(f"suite scopes cap out at {len(_FLUENT_POOL)} fluents")
+    if not 1 <= n_fluents <= len(_FLUENT_POOL):
+        raise ValueError(
+            f"suite scopes take 1 to {len(_FLUENT_POOL)} fluents, got {n_fluents}"
+        )
     names = _FLUENT_POOL[:n_fluents]
     return make_signature(names, (_SUITE_ACTION,) if with_action else ())
 
@@ -247,12 +234,8 @@ def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
     non-empty belief state, every trajectory over both actions up to the
     length bound, and every observation.
     """
-    sig = suite_signature(bounds.fluents)
-    if bounds.samples is None:
-        if bounds.fluents > 2:
-            raise ValueError(
-                "exhaustive enumeration is capped at 2 fluents; set samples"
-            )
+    sig, _, samples = _suite_scope("interaction", bounds.fluents, bounds.samples, None)
+    if samples is None:
         kappas = state_sets(sig, include_empty=False)
         alphas = state_sets(sig)
         trajectories = [
@@ -267,7 +250,7 @@ def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
                         yield Instance(sig, ts, kappa, acts, (alpha,))
     else:
         rng = random.Random(bounds.seed)
-        for _ in range(bounds.samples):
+        for _ in range(samples):
             ts = _random_system(rng, sig)
             kappa = _random_state_set(rng, sig, nonempty=True)
             acts = tuple(
@@ -276,6 +259,39 @@ def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
             )
             alpha = _random_state_set(rng, sig)
             yield Instance(sig, ts, kappa, acts, (alpha,))
+
+
+class _Suite(NamedTuple):
+    """A suite's runner and default scope, as listed in ``_SUITES``."""
+
+    run: Callable[..., SuiteReport]
+    fluents: int  # default fluent count
+    cap: int  # most fluents swept exhaustively
+    fallback: Optional[int] = None  # samples drawn above the cap by default
+    with_action: bool = False
+    sampled: bool = True  # whether the suite can draw a seeded sample
+
+
+def _suite_scope(
+    name: str, fluents: Optional[int], samples: Optional[int], assign: RankingAssignment | None
+) -> tuple[Signature, RankingAssignment, Optional[int]]:
+    """Resolve a suite's signature, ranking assignment and sample count."""
+    spec = _SUITES[name]
+    if samples is not None and samples < 1:
+        raise ValueError(f"the sample count must be at least 1, got {samples}")
+    sig = suite_signature(spec.fluents if fluents is None else fluents, spec.with_action)
+    if samples is None and len(sig.fluents) > spec.cap:
+        if spec.fallback is None:
+            hint = "; set samples" if spec.sampled else ""
+            raise ValueError(f"the exhaustive {name} suite is capped at {spec.cap} fluents{hint}")
+        samples = spec.fallback
+    return sig, assign if assign is not None else dalal_assignment(sig), samples
+
+
+def _scope(sig: Signature, samples: Optional[int], seed: int, exhaustive: str) -> str:
+    if samples is None:
+        return f"exhaustive fluents={len(sig.fluents)} {exhaustive}"
+    return f"sampled fluents={len(sig.fluents)} samples={samples} seed={seed}"
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +303,7 @@ def evolution_final_state(
     actions: tuple[str, ...],
     alpha: StateSet,
     ts: TransitionSystem,
-    assign: RankingAssignment,
+    assign: RankingAssignment | None,
 ) -> StateSet:
     """Final state of evolving with nothing observed until the end."""
     view = padded_view(actions, alpha, ts.signature)
@@ -309,11 +325,8 @@ def check_interaction(
     ts = inst.ts
     if ts is None:
         raise ValueError("interaction instances need a transition system")
-    sig = inst.signature
-    if assign is None:
-        assign = dalal_assignment(sig)
     alpha = inst.observations[-1]
-    reach = update_seq(universe(sig), inst.actions, ts)
+    reach = update_seq(universe(inst.signature), inst.actions, ts)
     base = update_seq(inst.kappa, inst.actions, ts)
     if operator is None:
         final = evolution_final_state(inst.kappa, inst.actions, alpha, ts, assign)
@@ -339,7 +352,7 @@ def check_interaction(
 
 
 def run_interaction_suite(
-    fluents: int = 2,
+    fluents: Optional[int] = None,
     trajectory_len: int = 2,
     assign: RankingAssignment | None = None,
     samples: Optional[int] = None,
@@ -351,10 +364,8 @@ def run_interaction_suite(
     view needed repair are evaluated too, but their outcome is informational
     and summarised in the notes.
     """
-    sig = suite_signature(fluents)
-    if assign is None:
-        assign = dalal_assignment(sig)
-    bounds = ScopeBounds(fluents, trajectory_len, samples, seed)
+    sig, assign, samples = _suite_scope("interaction", fluents, samples, assign)
+    bounds = ScopeBounds(len(sig.fluents), trajectory_len, samples, seed)
     consistent_n = repaired_n = repaired_bad = 0
     vios: list[Violation] = []
     for inst in enumerate_instances(bounds):
@@ -365,11 +376,7 @@ def run_interaction_suite(
         else:
             repaired_n += 1
             repaired_bad += len(rep.violations)
-    scope = (
-        f"exhaustive fluents={fluents} trajectories<={trajectory_len}"
-        if samples is None
-        else f"sampled fluents={fluents} samples={samples} seed={seed}"
-    )
+    scope = _scope(sig, samples, seed, f"trajectories<={trajectory_len}")
     notes = (
         f"{repaired_n} instances needed repair; informational failures "
         f"after repair: {repaired_bad}",
@@ -473,7 +480,7 @@ def check_I1_I2(
 
 
 def run_i1i2_suite(
-    fluents: int = 2,
+    fluents: Optional[int] = None,
     assign: RankingAssignment | None = None,
     samples: Optional[int] = None,
     seed: int = 0,
@@ -483,27 +490,19 @@ def run_i1i2_suite(
     The operator under test is ``combined_change`` built from the same
     ranking assignment, over every exhaustive system (or a seeded sample).
     """
-    from .revision import combined_change
-
-    sig = suite_signature(fluents)
-    if assign is None:
-        assign = dalal_assignment(sig)
+    sig, assign, samples = _suite_scope("i1i2", fluents, samples, assign)
     if samples is None:
-        if fluents > 2:
-            raise ValueError("exhaustive system enumeration is capped at 2 fluents")
         systems: Iterator[TransitionSystem] = single_action_systems(sig)
-        scope = f"exhaustive fluents={fluents} systems=all"
     else:
         rng = random.Random(seed)
         systems = (_random_system(rng, sig) for _ in range(samples))
-        scope = f"sampled fluents={fluents} samples={samples} seed={seed}"
-    reports = []
-    for ts in systems:
-        def op(kappa: StateSet, action: str, alpha: StateSet, _ts=ts) -> StateSet:
-            return combined_change(kappa, action, alpha, _ts, assign)
-
-        reports.append(check_I1_I2(op, assign, ts))
-    return _merge("i1i2", scope, reports)
+    reports = [
+        check_I1_I2(partial(combined_change, ts=ts, assign=assign), assign, ts)
+        for ts in systems
+    ]
+    vios = tuple(v for r in reports for v in r.violations)
+    scope = _scope(sig, samples, seed, "systems=all")
+    return SuiteReport("i1i2", scope, sum(r.instances for r in reports), vios)
 
 
 # ---------------------------------------------------------------------------
@@ -553,23 +552,37 @@ def check_agm(assign: RankingAssignment, sig: Signature) -> SuiteReport:
                     record("AGM-iv", kmask, amask, bmask, x, y)
                 if x and y & comp[x]:
                     record("AGM-v", kmask, amask, bmask, y, x)
-    scope = f"exhaustive fluents={len(sig.fluents)} pairs"
-    return SuiteReport("agm", scope, pairs, tuple(vios))
+    return SuiteReport("agm", _scope(sig, None, 0, "pairs"), pairs, tuple(vios))
 
 
 def run_agm_suite(
-    fluents: int = 3, assign: RankingAssignment | None = None
+    fluents: Optional[int] = None, assign: RankingAssignment | None = None
 ) -> SuiteReport:
-    if fluents > 3:
-        raise ValueError("the exhaustive revision-law sweep is capped at 3 fluents")
-    sig = suite_signature(fluents, with_action=False)
-    if assign is None:
-        assign = dalal_assignment(sig)
+    sig, assign, _ = _suite_scope("agm", fluents, None, assign)
     return check_agm(assign, sig)
 
 
 # ---------------------------------------------------------------------------
 # Iterated revision.
+
+
+def _dp_violations(
+    beta: StateSet, alpha: StateSet, two_step: StateSet, direct: StateSet
+) -> Iterator[tuple[str, StateSet, StateSet]]:
+    """Yield (postulate, lhs, rhs) for each DP law broken at (kappa, beta, alpha).
+
+    ``two_step`` is kappa revised by beta then alpha, ``direct`` by alpha alone.
+    """
+    if alpha <= beta and two_step != direct:
+        yield "DP1", two_step, direct
+    if not alpha & beta and two_step != direct:
+        yield "DP2", two_step, direct
+    if direct <= beta and not two_step <= beta:
+        yield "DP3", two_step, beta
+    if direct & beta and not two_step & beta:
+        yield "DP4", two_step, beta
+    if alpha & beta and not two_step <= beta:
+        yield "REC", two_step, beta
 
 
 def check_dp(
@@ -586,56 +599,32 @@ def check_dp(
     """
     nonempty = state_sets(sig, include_empty=False)
     if samples is None:
-        triples: Iterator[tuple[StateSet, StateSet, StateSet]] = product(
-            nonempty, nonempty, nonempty
-        )
-        scope = f"exhaustive fluents={len(sig.fluents)} triples"
+        triples: Iterator[tuple[StateSet, ...]] = product(nonempty, repeat=3)
     else:
         rng = random.Random(seed)
         triples = (
             tuple(_random_state_set(rng, sig, nonempty=True) for _ in range(3))
             for _ in range(samples)
         )
-        scope = f"sampled fluents={len(sig.fluents)} samples={samples} seed={seed}"
-    one_shot: dict[tuple[StateSet, StateSet], StateSet] = {}
-
-    def rev(kappa: StateSet, alpha: StateSet) -> StateSet:
-        key = (kappa, alpha)
-        if key not in one_shot:
-            one_shot[key] = revise(kappa, alpha, assign)
-        return one_shot[key]
-
+    rev = cache(partial(revise, assign=assign))
     vios: list[Violation] = []
     count = 0
     for kappa, beta, alpha in triples:
         count += 1
         two_step = iterated_revise(kappa, (beta, alpha), sig, assign)
-        direct = rev(kappa, alpha)
-        inst = Instance(sig, None, kappa, (), (beta, alpha))
-        if alpha <= beta and two_step != direct:
-            vios.append(Violation("DP1", inst, two_step, direct))
-        if not alpha & beta and two_step != direct:
-            vios.append(Violation("DP2", inst, two_step, direct))
-        if direct <= beta and not two_step <= beta:
-            vios.append(Violation("DP3", inst, two_step, beta))
-        if direct & beta and not two_step & beta:
-            vios.append(Violation("DP4", inst, two_step, beta))
-        if alpha & beta and not two_step <= beta:
-            vios.append(Violation("REC", inst, two_step, beta))
-    return SuiteReport("dp", scope, count, tuple(vios))
+        for pid, lhs, rhs in _dp_violations(beta, alpha, two_step, rev(kappa, alpha)):
+            inst = Instance(sig, None, kappa, (), (beta, alpha))
+            vios.append(Violation(pid, inst, lhs, rhs))
+    return SuiteReport("dp", _scope(sig, samples, seed, "triples"), count, tuple(vios))
 
 
 def run_dp_suite(
-    fluents: int = 2,
+    fluents: Optional[int] = None,
     assign: RankingAssignment | None = None,
     samples: Optional[int] = None,
     seed: int = 0,
 ) -> SuiteReport:
-    sig = suite_signature(fluents, with_action=False)
-    if assign is None:
-        assign = dalal_assignment(sig)
-    if samples is None and fluents > 2:
-        samples = 20000
+    sig, assign, samples = _suite_scope("dp", fluents, samples, assign)
     return check_dp(assign, sig, samples, seed)
 
 
@@ -649,25 +638,109 @@ def naive_two_shot_dp_example(sig: Signature | None = None) -> Violation:
         sig = suite_signature(2, with_action=False)
     assign = dalal_assignment(sig)
     nonempty = state_sets(sig, include_empty=False)
-    for kappa, beta, alpha in product(nonempty, nonempty, nonempty):
+    for kappa, beta, alpha in product(nonempty, repeat=3):
         two_step = revise(revise(kappa, beta, assign), alpha, assign)
         direct = revise(kappa, alpha, assign)
-        inst = Instance(sig, None, kappa, (), (beta, alpha))
-        if alpha <= beta and two_step != direct:
-            return Violation("DP1", inst, two_step, direct)
-        if not alpha & beta and two_step != direct:
-            return Violation("DP2", inst, two_step, direct)
-        if direct <= beta and not two_step <= beta:
-            return Violation("DP3", inst, two_step, beta)
-        if direct & beta and not two_step & beta:
-            return Violation("DP4", inst, two_step, beta)
-        if alpha & beta and not two_step <= beta:
-            return Violation("REC", inst, two_step, beta)
+        for pid, lhs, rhs in _dp_violations(beta, alpha, two_step, direct):
+            return Violation(pid, Instance(sig, None, kappa, (), (beta, alpha)), lhs, rhs)
     raise RuntimeError("no naive two-shot counterexample found")
 
 
 # ---------------------------------------------------------------------------
-# Observation-sequence postulates.
+# Observation-sequence postulates (Lehmann 1995).
+#
+# ``fin(seq)`` is the final state of observation-only evolution under
+# recency from a fixed kappa.  Each law takes ``fin``, one (prefix, alpha)
+# and the beta values it quantifies over, and yields (observations, lhs,
+# rhs) per violation.  Sequence components are non-empty, except for the
+# complements inside L7.  With a ``suffix`` O', the starred laws become the
+# unstarred L4, L5 and L6, which evolution does not satisfy.
+
+_Obs = tuple[StateSet, ...]
+_Fin = Callable[[_Obs], StateSet]
+_Found = Iterator[tuple[_Obs, StateSet, StateSet]]
+
+
+def _l2(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs) -> _Found:
+    """The final observation always holds afterwards."""
+    got = fin(prefix + (alpha,))
+    if not got <= alpha:
+        yield prefix + (alpha,), got, alpha
+
+
+def _l3(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs) -> _Found:
+    """Observing an already believed alpha adds no new belief beta."""
+    f_o = fin(prefix)
+    if f_o <= alpha:
+        f_oa = fin(prefix + (alpha,))
+        for beta in betas:
+            if f_oa <= beta and not f_o <= beta:
+                yield prefix + (alpha, beta), f_o, beta
+
+
+def _l4(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs, suffix: _Obs = ()) -> _Found:
+    """Appending an observation that is already believed is a no-op."""
+    if fin(prefix) <= alpha:
+        lhs, rhs = fin(prefix + suffix), fin(prefix + (alpha,) + suffix)
+        if lhs != rhs:
+            yield prefix + (alpha,) + suffix, lhs, rhs
+
+
+def _l5(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs, suffix: _Obs = ()) -> _Found:
+    """A weaker observation right before a stronger one is superfluous."""
+    for beta in betas:
+        lhs, rhs = fin(prefix + (alpha, beta) + suffix), fin(prefix + (beta,) + suffix)
+        if lhs != rhs:
+            yield prefix + (alpha, beta) + suffix, lhs, rhs
+
+
+def _l6(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs, suffix: _Obs = ()) -> _Found:
+    """Refining by a live beta equals refining by its meet with alpha."""
+    live = fin(prefix + (alpha,))
+    for beta in betas:
+        if live & beta:
+            lhs = fin(prefix + (alpha, beta) + suffix)
+            rhs = fin(prefix + (alpha, alpha & beta) + suffix)
+            if lhs != rhs:
+                yield prefix + (alpha, beta) + suffix, lhs, rhs
+
+
+def _l7(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs) -> _Found:
+    """Observing alpha's complement just before alpha loses no state alpha alone keeps."""
+    lhs = fin(prefix + (alpha,))
+    for complement in betas:
+        rhs = fin(prefix + (complement, alpha))
+        if not lhs <= rhs:
+            yield prefix + (alpha,), lhs, rhs
+
+
+class _Law(NamedTuple):
+    name: str
+    check: Callable[..., _Found]
+    min_prefix: int  # shortest prefix swept
+    appended: int  # observations the law appends to its prefix
+    betas: Optional[str]  # "every", "nonempty", "below" alpha, "complement"
+
+
+_LEHMANN = (
+    _Law("L2", _l2, 0, 1, None),
+    _Law("L3", _l3, 1, 1, "every"),
+    _Law("L4*", _l4, 1, 1, None),
+    _Law("L5*", _l5, 0, 2, "below"),
+    _Law("L6*", _l6, 0, 2, "nonempty"),
+    _Law("L7", _l7, 0, 2, "complement"),
+)
+
+
+def _betas(law: _Law, alpha: StateSet, pool: _Obs, full: StateSet) -> _Obs:
+    """The beta values ``law`` quantifies over for ``alpha``, drawn from ``pool``."""
+    if law.betas is None:
+        return ()
+    if law.betas == "complement":
+        return (full - alpha,)
+    if law.betas == "below":
+        return tuple(beta for beta in pool if beta <= alpha)
+    return pool
 
 
 def check_lehmann(
@@ -679,200 +752,65 @@ def check_lehmann(
 ) -> SuiteReport:
     """Verify the observation-sequence postulates that evolution satisfies.
 
-    ``kappa . O`` below means the final state of observation-only evolution
-    under recency.  Checked: the last observation always holds (L2); a
-    cautious cut rule (L3); appending an already-believed observation
-    changes nothing (L4*); a stronger observation then a weaker one equals
-    the weaker alone (L5*); compatible refinements commute with
-    intersection (L6*); and observing the complement first never blocks the
-    observation itself (L7).  Sequence components are non-empty, except for
-    complements arising inside L7.
+    Sweeps each law of ``_LEHMANN`` over every non-empty kappa, prefix and
+    alpha whose sequences fit in ``max_len``, or checks a seeded stream of
+    ``samples`` single draws.  Each beta value counts as one instance.
     """
-    if samples is not None:
-        return _check_lehmann_sampled(assign, sig, max_len, samples, seed)
-    if max_len > 3:
-        raise ValueError("the exhaustive sequence sweep is capped at length 3")
-    full = universe(sig)
-    nonempty = state_sets(sig, include_empty=False)
-    every = state_sets(sig)
-    kappas = nonempty
-    memo: dict[tuple[StateSet, tuple[StateSet, ...]], StateSet] = {}
-
-    def fin(kappa: StateSet, seq: tuple[StateSet, ...]) -> StateSet:
-        key = (kappa, seq)
-        if key not in memo:
-            memo[key] = iterated_revise(kappa, seq, sig, assign)
-        return memo[key]
-
-    def seqs(lengths: range) -> list[tuple[StateSet, ...]]:
-        return [
-            seq
-            for ln in lengths
-            for seq in product(nonempty, repeat=ln)
-        ]
-
+    full, every = universe(sig), state_sets(sig)
+    nonempty = every[1:]
     vios: list[Violation] = []
     count = 0
 
-    def record(pid: str, kappa: StateSet, obs: tuple[StateSet, ...], lhs: StateSet, rhs: StateSet) -> None:
-        vios.append(Violation(pid, Instance(sig, None, kappa, (), obs), lhs, rhs))
+    def check(
+        law: _Law, kappa: StateSet, fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs
+    ) -> None:
+        nonlocal count
+        count += len(betas) or 1
+        for obs, lhs, rhs in law.check(fin, prefix, alpha, betas):
+            vios.append(Violation(law.name, Instance(sig, None, kappa, (), obs), lhs, rhs))
 
-    # L2: the final observation always holds afterwards.
-    for kappa in kappas:
-        for prefix in seqs(range(0, max_len)):
-            for alpha in nonempty:
-                count += 1
-                got = fin(kappa, prefix + (alpha,))
-                if not got <= alpha:
-                    record("L2", kappa, prefix + (alpha,), got, alpha)
-
-    # L3: if observing alpha keeps the agent inside beta, and the agent
-    # already believed alpha, it was already inside beta.
-    for kappa in kappas:
-        for prefix in seqs(range(1, max_len)):
-            f_o = fin(kappa, prefix)
-            for alpha in nonempty:
-                f_oa = fin(kappa, prefix + (alpha,))
-                if not f_o <= alpha:
-                    count += len(every)
-                    continue
-                for beta in every:
-                    count += 1
-                    if f_oa <= beta and not f_o <= beta:
-                        record("L3", kappa, prefix + (alpha, beta), f_o, beta)
-
-    # L4*: appending an observation that is already believed is a no-op.
-    for kappa in kappas:
-        for prefix in seqs(range(1, max_len)):
-            f_o = fin(kappa, prefix)
-            for alpha in nonempty:
-                count += 1
-                if f_o <= alpha:
-                    f_oa = fin(kappa, prefix + (alpha,))
-                    if f_o != f_oa:
-                        record("L4*", kappa, prefix + (alpha,), f_o, f_oa)
-
-    # L5*: a stronger observation right before a weaker one is superfluous.
-    for kappa in kappas:
-        for prefix in seqs(range(0, max_len - 1)):
-            for alpha in nonempty:
-                for beta in nonempty:
-                    if not beta <= alpha:
-                        continue
-                    count += 1
-                    lhs = fin(kappa, prefix + (alpha, beta))
-                    rhs = fin(kappa, prefix + (beta,))
-                    if lhs != rhs:
-                        record("L5*", kappa, prefix + (alpha, beta), lhs, rhs)
-
-    # L6*: refining inside a live observation equals refining by the
-    # intersection.
-    for kappa in kappas:
-        for prefix in seqs(range(0, max_len - 1)):
-            for alpha in nonempty:
-                f_oa = fin(kappa, prefix + (alpha,))
-                for beta in nonempty:
-                    count += 1
-                    if not f_oa & beta:
-                        continue
-                    lhs = fin(kappa, prefix + (alpha, beta))
-                    rhs = fin(kappa, prefix + (alpha, alpha & beta))
-                    if lhs != rhs:
-                        record("L6*", kappa, prefix + (alpha, beta), lhs, rhs)
-
-    # L7: the complement observed in between is simply overridden.
-    for kappa in kappas:
-        for prefix in seqs(range(0, max_len - 1)):
-            for alpha in nonempty:
-                count += 1
-                lhs = fin(kappa, prefix + (alpha,))
-                rhs = fin(kappa, prefix + (full - alpha, alpha))
-                if not lhs <= rhs:
-                    record("L7", kappa, prefix + (alpha,), lhs, rhs)
-
-    scope = f"exhaustive fluents={len(sig.fluents)} len<={max_len}"
-    return SuiteReport("lehmann", scope, count, tuple(vios))
-
-
-def _check_lehmann_sampled(
-    assign: RankingAssignment, sig: Signature, max_len: int, samples: int, seed: int
-) -> SuiteReport:
-    full = universe(sig)
-    rng = random.Random(seed)
-    vios: list[Violation] = []
-    count = 0
-
-    def rand_seq(max_prefix: int) -> tuple[StateSet, ...]:
-        return tuple(
-            _random_state_set(rng, sig, nonempty=True)
-            for _ in range(rng.randint(0, max_prefix))
-        )
-
-    def fin(kappa: StateSet, seq: tuple[StateSet, ...]) -> StateSet:
-        return iterated_revise(kappa, seq, sig, assign)
-
-    for _ in range(samples):
-        kappa = _random_state_set(rng, sig, nonempty=True)
-        alpha = _random_state_set(rng, sig, nonempty=True)
-        beta = _random_state_set(rng, sig, nonempty=True)
-        which = rng.randrange(6)
-        if which == 0:
-            prefix = rand_seq(max_len - 1)
-            got = fin(kappa, prefix + (alpha,))
-            if not got <= alpha:
-                vios.append(Violation("L2", Instance(sig, None, kappa, (), prefix + (alpha,)), got, alpha))
-        elif which == 1:
-            prefix = rand_seq(max_len - 2) or (beta,)
-            f_o = fin(kappa, prefix)
-            f_oa = fin(kappa, prefix + (alpha,))
-            if f_o <= alpha and f_oa <= beta and not f_o <= beta:
-                vios.append(Violation("L3", Instance(sig, None, kappa, (), prefix + (alpha, beta)), f_o, beta))
-        elif which == 2:
-            prefix = rand_seq(max_len - 2) or (beta,)
-            f_o = fin(kappa, prefix)
-            if f_o <= alpha:
-                f_oa = fin(kappa, prefix + (alpha,))
-                if f_o != f_oa:
-                    vios.append(Violation("L4*", Instance(sig, None, kappa, (), prefix + (alpha,)), f_o, f_oa))
-        elif which == 3:
-            prefix = rand_seq(max_len - 2)
-            small = alpha & beta or alpha
-            big = alpha | beta
-            lhs = fin(kappa, prefix + (big, small))
-            rhs = fin(kappa, prefix + (small,))
-            if lhs != rhs:
-                vios.append(Violation("L5*", Instance(sig, None, kappa, (), prefix + (big, small)), lhs, rhs))
-        elif which == 4:
-            prefix = rand_seq(max_len - 2)
-            f_oa = fin(kappa, prefix + (alpha,))
-            if f_oa & beta:
-                lhs = fin(kappa, prefix + (alpha, beta))
-                rhs = fin(kappa, prefix + (alpha, alpha & beta))
-                if lhs != rhs:
-                    vios.append(Violation("L6*", Instance(sig, None, kappa, (), prefix + (alpha, beta)), lhs, rhs))
-        else:
-            prefix = rand_seq(max_len - 2)
-            lhs = fin(kappa, prefix + (alpha,))
-            rhs = fin(kappa, prefix + (full - alpha, alpha))
-            if not lhs <= rhs:
-                vios.append(Violation("L7", Instance(sig, None, kappa, (), prefix + (alpha,)), lhs, rhs))
-        count += 1
-    scope = f"sampled fluents={len(sig.fluents)} samples={samples} seed={seed}"
+    if samples is None:
+        if max_len > 3:
+            raise ValueError("the exhaustive sequence sweep is capped at length 3")
+        fins = {k: cache(partial(iterated_revise, k, sig=sig, assign=assign)) for k in nonempty}
+        for law in _LEHMANN:
+            # Prefixes as long as leave room for what the law appends.
+            lengths = range(law.min_prefix, max_len - law.appended + 1)
+            prefixes = [seq for ln in lengths for seq in product(nonempty, repeat=ln)]
+            pool = every if law.betas == "every" else nonempty
+            alphas = [(alpha, _betas(law, alpha, pool, full)) for alpha in nonempty]
+            for kappa in nonempty:
+                for prefix in prefixes:
+                    for alpha, betas in alphas:
+                        check(law, kappa, fins[kappa], prefix, alpha, betas)
+    else:
+        rng = random.Random(seed)
+        draw = partial(_random_state_set, rng, sig, nonempty=True)
+        # Draw kappa, alpha, beta, the law, then a prefix one shorter than
+        # the sweep's longest for the laws that need one, which get (beta,)
+        # if it comes out empty.  L5* needs beta below alpha.
+        for _ in range(samples):
+            kappa, alpha, beta = draw(), draw(), draw()
+            law = _LEHMANN[rng.randrange(len(_LEHMANN))]
+            longest = max_len - law.appended - law.min_prefix
+            prefix = tuple(draw() for _ in range(rng.randint(0, longest)))
+            prefix = prefix or (beta,) * law.min_prefix
+            if law.betas == "below":
+                alpha, beta = alpha | beta, alpha & beta or alpha
+            fin = partial(iterated_revise, kappa, sig=sig, assign=assign)
+            check(law, kappa, fin, prefix, alpha, _betas(law, alpha, (beta,), full))
+    scope = _scope(sig, samples, seed, f"len<={max_len}")
     return SuiteReport("lehmann", scope, count, tuple(vios))
 
 
 def run_lehmann_suite(
-    fluents: int = 2,
+    fluents: Optional[int] = None,
     assign: RankingAssignment | None = None,
     max_len: int = 3,
     samples: Optional[int] = None,
     seed: int = 0,
 ) -> SuiteReport:
-    sig = suite_signature(fluents, with_action=False)
-    if assign is None:
-        assign = dalal_assignment(sig)
-    if samples is None and fluents > 2:
-        samples = 20000
+    sig, assign, samples = _suite_scope("lehmann", fluents, samples, assign)
     return check_lehmann(assign, sig, max_len, samples, seed)
 
 
@@ -896,9 +834,10 @@ class CounterexampleReport:
     held: tuple[str, ...]
 
     def render_text(self) -> str:
-        lines = []
-        for label, val in self.values.items():
-            lines.append(f"after {label}: {format_state_set(self.signature, val)}")
+        lines = [
+            f"after {label}: {format_state_set(self.signature, val)}"
+            for label, val in self.values.items()
+        ]
         lines.append("failed: " + " ".join(self.failed))
         lines.append("held: " + " ".join(self.held))
         return "\n".join(lines)
@@ -906,7 +845,7 @@ class CounterexampleReport:
     def to_data(self) -> dict:
         return {
             "values": {
-                label: _states_data(self.signature, val)
+                label: states_data(self.signature, val)
                 for label, val in self.values.items()
             },
             "failed": list(self.failed),
@@ -922,7 +861,8 @@ def lehmann_counterexample() -> CounterexampleReport:
     sequences O = <{s3}>, alpha = {s2,s3}, beta = {s3}, O' = <{s1,s2}> and
     gamma = {s1,s3} separate the unstarred postulates from the starred
     ones: an observation that was superfluous when made can still matter
-    once later observations arrive.
+    once later observations arrive.  Every law is checked at prefix O and
+    alpha; L6 and L6* quantify over gamma, the other laws over beta.
     """
     sig = suite_signature(2, with_action=False)
     assign = dalal_assignment(sig)
@@ -936,20 +876,13 @@ def lehmann_counterexample() -> CounterexampleReport:
 
     # The Hamming assignment must realize the single revisions the example
     # is built from; anything else would invalidate the whole report.
-    prelude = {
-        (kappa, o): o,
-        (kappa, o_prime): kappa,
-        (kappa, frozenset((s2,))): frozenset((s2,)),
-        (kappa, frozenset((s1,))): kappa,
-    }
-    for (k, a), want in prelude.items():
-        got = revise(k, a, assign)
+    prelude = {o: o, o_prime: kappa, frozenset((s2,)): frozenset((s2,)), kappa: kappa}
+    for a, want in prelude.items():
+        got = revise(kappa, a, assign)
         if got != want:
             raise RuntimeError(f"ranking fails to realize {a} -> {want}, got {got}")
 
-    def fin(seq: tuple[StateSet, ...]) -> StateSet:
-        return iterated_revise(kappa, seq, sig, assign)
-
+    fin = partial(iterated_revise, kappa, sig=sig, assign=assign)
     values = {
         "O": fin((o,)),
         "O,O'": fin((o, o_prime)),
@@ -959,59 +892,29 @@ def lehmann_counterexample() -> CounterexampleReport:
         "O,a,a&g,O'": fin((o, alpha, gamma & alpha, o_prime)),
     }
 
-    failed = []
-    held = []
-    # L4: kappa after O believes alpha, yet inserting alpha changes the
-    # outcome once O' arrives.
-    if values["O"] <= alpha and values["O,O'"] != values["O,a,O'"]:
-        failed.append("L4")
-    else:
-        held.append("L4")
-    # L5: beta is stronger than alpha, yet alpha-then-beta differs from
-    # beta alone once O' arrives.
-    if beta <= alpha and fin((o, alpha, beta, o_prime)) != fin((o, beta, o_prime)):
-        failed.append("L5")
-    else:
-        held.append("L5")
-    # L6: gamma is live after O,alpha, yet refining by gamma differs from
-    # refining by the intersection once O' arrives.
-    if values["O,a"] & gamma and values["O,a,g,O'"] != values["O,a,a&g,O'"]:
-        failed.append("L6")
-    else:
-        held.append("L6")
-
-    if values["O,a"] <= alpha:
-        held.append("L2")
-    else:
-        failed.append("L2")
-    # L3 instantiated with the example's own beta.
-    if not (values["O,a"] <= beta and values["O"] <= alpha) or values["O"] <= beta:
-        held.append("L3")
-    else:
-        failed.append("L3")
-    if not values["O"] <= alpha or values["O"] == values["O,a"]:
-        held.append("L4*")
-    else:
-        failed.append("L4*")
-    if fin((o, alpha, beta)) == fin((o, beta)):
-        held.append("L5*")
-    else:
-        failed.append("L5*")
-    if not values["O,a"] & gamma or fin((o, alpha, gamma)) == fin((o, alpha, alpha & gamma)):
-        held.append("L6*")
-    else:
-        failed.append("L6*")
-    full = universe(sig)
-    if values["O,a"] <= fin((o, full - alpha, alpha)):
-        held.append("L7")
-    else:
-        failed.append("L7")
-
+    # The unstarred L4, L5 and L6 first, then the six laws as swept.
+    verdicts = [(law.name[:-1], law, {"suffix": (o_prime,)}) for law in _LEHMANN if "*" in law.name]
+    verdicts += [(law.name, law, {}) for law in _LEHMANN]
+    failed, held = [], []
+    for name, law, suffix in verdicts:
+        pool = (gamma,) if law.name == "L6*" else (beta,)
+        betas = _betas(law, alpha, pool, universe(sig))
+        broken = any(True for _ in law.check(fin, (o,), alpha, betas, **suffix))
+        (failed if broken else held).append(name)
     return CounterexampleReport(sig, values, tuple(failed), tuple(held))
 
 
 # ---------------------------------------------------------------------------
 # Suite dispatch for the command line.
+
+
+_SUITES = {
+    "interaction": _Suite(run_interaction_suite, 2, 2, with_action=True),
+    "agm": _Suite(run_agm_suite, 3, 3, sampled=False),
+    "dp": _Suite(run_dp_suite, 2, 2, fallback=20000),
+    "lehmann": _Suite(run_lehmann_suite, 2, 2, fallback=20000),
+    "i1i2": _Suite(run_i1i2_suite, 2, 2, with_action=True),
+}
 
 
 def run_suite(
@@ -1021,14 +924,11 @@ def run_suite(
     seed: int = 0,
 ) -> SuiteReport:
     """Run one named suite with its default scope unless overridden."""
-    if name == "interaction":
-        return run_interaction_suite(fluents or 2, samples=samples, seed=seed)
-    if name == "agm":
-        return run_agm_suite(fluents or 3)
-    if name == "dp":
-        return run_dp_suite(fluents or 2, samples=samples, seed=seed)
-    if name == "lehmann":
-        return run_lehmann_suite(fluents or 2, samples=samples, seed=seed)
-    if name == "i1i2":
-        return run_i1i2_suite(fluents or 2, samples=samples, seed=seed)
-    raise ValueError(f"unknown suite {name!r}")
+    spec = _SUITES.get(name)
+    if spec is None:
+        raise ValueError(f"unknown suite {name!r}")
+    if spec.sampled:
+        return spec.run(fluents, samples=samples, seed=seed)
+    if samples is not None:
+        raise ValueError(f"the {name} suite has no sampled mode")
+    return spec.run(fluents)

@@ -31,7 +31,7 @@ class FaithfulRanking:
     base: StateSet
     ranks: tuple[int, ...]
 
-    def rank_of(self, state: int) -> Optional[int]:
+    def rank_of(self, state: int) -> int:
         return self.ranks[state]
 
 

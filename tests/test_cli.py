@@ -271,6 +271,27 @@ def test_check_scope_cap_is_an_error(capsys):
     assert "capped" in err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--suite", "agm", "--fluents", "0"], "fluents, got 0"),
+        (["--suite", "dp", "--fluents", "-1", "--samples", "3"], "fluents, got -1"),
+        (["--suite", "lehmann", "--fluents", "6", "--samples", "3"], "fluents, got 6"),
+        (["--suite", "dp", "--samples", "0"], "at least 1, got 0"),
+        (["--suite", "lehmann", "--samples", "-3"], "at least 1, got -3"),
+        (["--suite", "interaction", "--fluents", "1", "--samples", "0"], "got 0"),
+        (["--suite", "i1i2", "--samples", "-1"], "got -1"),
+        (["--suite", "agm", "--samples", "5"], "no sampled mode"),
+    ],
+)
+def test_check_out_of_range_scope_is_an_error(capsys, argv, reason):
+    code, out, err = _run(capsys, "check", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bevo: error: ") and reason in err
+    assert "Traceback" not in err
+
+
 def test_check_exit_two_and_violation_cap(capsys, monkeypatch):
     sig = suite_signature(1)
     inst = Instance(sig, None, frozenset((0,)))

@@ -270,6 +270,21 @@ def test_serialize_domain_strict_lists_self_loops():
     assert parse_domain(text) == doc
 
 
+def test_serialize_domain_keeps_self_loop_beside_other_successors():
+    doc = parse_domain(
+        "domain d\nfluents p\nactions a\n"
+        "transition a: {} -> {}\ntransition a: {} -> {p}\n"
+    )
+    assert doc.ts.successors(0, "a") == frozenset((0, 1))
+    text = serialize_domain(doc)
+    assert "transition a: {} -> {}" in text
+    # The self-loop of {p} is the only successor there and stays implicit.
+    assert "transition a: {p} -> {p}" not in text
+    again = parse_domain(text)
+    assert again == doc
+    assert serialize_domain(again) == text
+
+
 # ---------------------------------------------------------------------------
 # Scenario files.
 

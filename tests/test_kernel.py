@@ -14,7 +14,6 @@ from bevo import (
     complete_transitions,
     format_state,
     format_state_set,
-    is_deterministic,
     make_signature,
     models,
     state_index,
@@ -165,7 +164,7 @@ def test_transition_system_requires_totality(tiny_sig):
 
 def test_deterministic_flag(tiny_sig):
     det = complete_transitions(tiny_sig, [(0, "a", 1)])
-    assert det.deterministic and is_deterministic(det)
+    assert det.deterministic
     nondet = complete_transitions(tiny_sig, [(0, "a", 1), (0, "a", 2)])
     assert not nondet.deterministic
     assert nondet.successors(0, "a") == frozenset((1, 2))
