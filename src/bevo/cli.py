@@ -277,14 +277,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "machine":
         out = json.dumps(report.to_data(), indent=2) + "\n"
     else:
-        lines = [report.summary()]
-        lines.extend(report.notes)
-        shown = report.violations[:_MAX_SHOWN_VIOLATIONS]
-        lines.extend(v.describe() for v in shown)
-        hidden = len(report.violations) - len(shown)
-        if hidden > 0:
-            lines.append(f"... and {hidden} more violations")
-        out = "\n".join(lines) + "\n"
+        out = report.render_text(max_violations=_MAX_SHOWN_VIOLATIONS) + "\n"
     return out, (0 if report.passed else 2)
 
 

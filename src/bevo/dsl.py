@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Any, Iterator, Union
 
 from .kernel import (
     NULL_ACTION,
@@ -744,11 +744,33 @@ def ranking_assignment(doc: RankingDoc) -> RankingAssignment:
 ResultLike = Union[EvolutionResult, BeliefTrajectory]
 
 
-def _states_from_data(sig: Signature, data: Sequence[Sequence[str]]) -> StateSet:
+_JSON_KINDS = {dict: "an object", list: "a list", (bool, type(None)): "true, false or null"}
+
+
+def _json_field(obj: dict, path: str, kind: type | tuple[type, ...]) -> Any:
+    """The field at dotted ``path`` of a result document; must be a ``kind``."""
+    key = path.rpartition(".")[2]
+    if key not in obj:
+        raise ValueError(f"result document: missing field {path}")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"result document: field {path} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _json_list(value: object, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"result document: field {field} must hold lists")
+    return value
+
+
+def _states_from_data(sig: Signature, data: object, field: str) -> StateSet:
     out = set()
-    for names in data:
+    for names in _json_list(data, field):
         state = 0
-        for n in names:
+        for n in _json_list(names, field):
+            if n not in sig.fluents:
+                raise ValueError(f"result document: field {field} names unknown fluent {n!r}")
             state |= 1 << sig.fluents.index(n)
         out.add(state)
     return frozenset(out)
@@ -808,17 +830,32 @@ def serialize_result(
 
 
 def result_from_json(text: str) -> tuple[Signature, ResultLike]:
-    """Inverse of the machine format, for round-tripping results."""
+    """Inverse of the machine format, for round-tripping results.
+
+    A malformed document raises ``ValueError`` naming the missing or
+    ill-typed field, or the unknown fluent.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("result document: the document must be an object")
+    sig_doc = _json_field(doc, "signature", dict)
     sig = make_signature(
-        doc["signature"]["fluents"], doc["signature"]["actions"]
+        _json_field(sig_doc, "signature.fluents", list),
+        _json_field(sig_doc, "signature.actions", list),
     )
     trajectories = tuple(
-        tuple(_states_from_data(sig, k) for k in t) for t in doc["trajectories"]
+        tuple(_states_from_data(sig, k, "trajectories") for k in _json_list(t, "trajectories"))
+        for t in _json_field(doc, "trajectories", list)
     )
-    if doc["consistent"] is None:
+    consistent = _json_field(doc, "consistent", (bool, type(None)))
+    if consistent is None:
+        if len(trajectories) != 1:
+            raise ValueError(
+                "result document: a plain trajectory needs exactly one entry in trajectories"
+            )
         return sig, trajectories[0]
     repairs = tuple(
-        tuple(_states_from_data(sig, o) for o in obs) for obs in doc["repairs"]
+        tuple(_states_from_data(sig, o, "repairs") for o in _json_list(obs, "repairs"))
+        for obs in _json_field(doc, "repairs", list)
     )
-    return sig, EvolutionResult(doc["consistent"], repairs, trajectories)
+    return sig, EvolutionResult(consistent, repairs, trajectories)

@@ -14,6 +14,14 @@ and a reliability ordering over the observations picks the final repairs.
 By default more recent observations are considered more reliable, which
 makes the repair unique.
 
+Each non-trivial observation is held as a bitmask of the initial states
+whose run satisfies it, so a set of kept observations is consistent exactly
+when the AND of their masks is non-zero.  When the reliability levels of
+those observations are pairwise distinct (recency, primacy, distinct
+weights) the preferred repair is found greedily, most reliable first, in one
+AND per observation.  Other orders sweep the lattice of kept sets, which is
+capped at ``MAX_REPAIR_POSITIONS`` non-trivial observations.
+
 All operations here require a deterministic transition system.
 """
 
@@ -43,7 +51,8 @@ BeliefTrajectory = tuple[StateSet, ...]
 ReliabilityFunction = Callable[[int], tuple[int, ...]]
 
 # Above this many repairable observations the weakening lattice (2^n) is not
-# worth exploring.
+# worth exploring.  Only orders with tied levels sweep it; injective orders
+# repair greedily at any length.
 MAX_REPAIR_POSITIONS = 20
 
 
@@ -111,30 +120,44 @@ def preimage(alpha: StateSet, actions: ActionTrajectory, ts: TransitionSystem) -
     return cur
 
 
-def _surviving_initial_states(
-    view: WorldView, ts: TransitionSystem, retained: frozenset[int] | None = None
-) -> StateSet:
-    """Initial states whose run satisfies every (retained) observation.
+def _preimage_masks(view: WorldView, ts: TransitionSystem) -> dict[int, int]:
+    """One bitmask of initial states per repairable position.
 
-    Equals the intersection of the observation pre-images.  ``retained``
-    limits the check to the given positions; None means all of them.
+    Bit s of ``masks[i]`` is set when the run from initial state s satisfies
+    observation i; trivially true observations are left out.  A set of
+    positions is consistent exactly when the AND of their masks is non-zero.
     """
-    walk = {s: s for s in range(ts.signature.num_states)}
+    _require_deterministic(ts)
+    full = universe(ts.signature)
+    run: Sequence[int] = range(ts.signature.num_states)
+    masks = {}
     for i, (a, obs) in enumerate(zip(view.actions, view.observations)):
         succ = ts.successor_map(a)
-        if retained is None or i in retained:
-            walk = {s: succ[p] for s, p in walk.items() if succ[p] in obs}
-        else:
-            walk = {s: succ[p] for s, p in walk.items()}
-        if not walk:
-            return frozenset()
-    return frozenset(walk)
+        run = [succ[p] for p in run]
+        if obs != full:
+            mask = 0
+            for s, p in enumerate(run):
+                if p in obs:
+                    mask |= 1 << s
+            masks[i] = mask
+    return masks
+
+
+def _meet(masks: Iterable[int], ts: TransitionSystem) -> int:
+    """The AND of ``masks``; every initial state when there are none."""
+    core = (1 << ts.signature.num_states) - 1
+    for mask in masks:
+        core &= mask
+    return core
+
+
+def _states(mask: int) -> StateSet:
+    return frozenset(s for s in range(mask.bit_length()) if mask >> s & 1)
 
 
 def consistent(view: WorldView, ts: TransitionSystem) -> bool:
     """Whether some non-empty initial belief state satisfies the whole view."""
-    _require_deterministic(ts)
-    return bool(_surviving_initial_states(view, ts))
+    return bool(_meet(_preimage_masks(view, ts).values(), ts))
 
 
 def _forward(
@@ -167,10 +190,10 @@ def evolve_consistent(
         raise ValueError("cannot evolve an empty belief state")
     if assign is None:
         assign = dalal_assignment(ts.signature)
-    core = _surviving_initial_states(view, ts)
+    core = _meet(_preimage_masks(view, ts).values(), ts)
     if not core:
         raise InconsistentView("world view is inconsistent; repair it first")
-    return _forward(kappa, view, ts, assign, core)
+    return _forward(kappa, view, ts, assign, _states(core))
 
 
 def weakenings(
@@ -215,19 +238,23 @@ def minimal_repair_candidates(
             f"{len(lattice)} repairable observations; "
             f"the repair search is capped at {MAX_REPAIR_POSITIONS}"
         )
-    accepted: list[frozenset[int]] = []
+    masks = _preimage_masks(view, ts)
+    everything = _meet((), ts)
+    accepted: list[int] = []  # kept sets, bit i for position i
     # Decreasing retained size: every consistent set met here is either
     # contained in an accepted maximal one or is itself maximal.
     for k in range(len(lattice), -1, -1):
         for kept in combinations(lattice, k):
-            kept_set = frozenset(kept)
-            if any(kept_set < a for a in accepted):
-                continue
-            if _surviving_initial_states(view, ts, kept_set):
-                accepted.append(kept_set)
+            core = everything
+            bits = 0
+            for i in kept:
+                core &= masks[i]
+                bits |= 1 << i
+            if core and not any(bits & a == bits for a in accepted):
+                accepted.append(bits)
     out = [
-        tuple(o if i in kept else full for i, o in enumerate(obs))
-        for kept in accepted
+        tuple(o if bits >> i & 1 else full for i, o in enumerate(obs))
+        for bits in accepted
     ]
     out.sort(key=_view_sort_key)
     return tuple(out)
@@ -264,10 +291,31 @@ def repairs(
     ts: TransitionSystem,
     r: ReliabilityFunction = recency,
 ) -> tuple[ObservationTrajectory, ...]:
-    """The repair candidates that are minimal in the reliability ordering."""
+    """The repair candidates that are minimal in the reliability ordering.
+
+    When the repairable positions have pairwise distinct levels the order is
+    total and the one repair is built greedily: visiting the positions from
+    most to least reliable, keep each one that leaves the kept set
+    consistent.  That set is maximal, and any other differs first at a
+    position it dropped, so it beats every other candidate.
+    """
     full = universe(ts.signature)
     levels = r(len(view))
     lattice = [i for i, o in enumerate(view.observations) if o != full]
+    if len({levels[i] for i in lattice}) == len(lattice):
+        masks = _preimage_masks(view, ts)
+        core = _meet((), ts)
+        kept = set()
+        for i in sorted(lattice, key=levels.__getitem__):
+            if core & masks[i]:
+                core &= masks[i]
+                kept.add(i)
+        return (
+            tuple(
+                frozenset(o) if i in kept else full
+                for i, o in enumerate(view.observations)
+            ),
+        )
     candidates = minimal_repair_candidates(view, ts)
     kept_sets = [
         _retained_positions(view.observations, cand, full) for cand in candidates
@@ -316,13 +364,26 @@ def evolve(
         raise ValueError("cannot evolve an empty belief state")
     if assign is None:
         assign = dalal_assignment(ts.signature)
-    core = _surviving_initial_states(view, ts)
+    masks = _preimage_masks(view, ts)
+    core = _meet(masks.values(), ts)
     if core:
-        trajectory = _forward(kappa, view, ts, assign, core)
+        trajectory = _forward(kappa, view, ts, assign, _states(core))
         return EvolutionResult(True, (view.observations,), (trajectory,))
     fixed = repairs(view, ts, r)
+    full = universe(ts.signature)
     trajectories = tuple(
-        evolve_consistent(kappa, WorldView(view.actions, obs), ts, assign)
+        _forward(
+            kappa,
+            view,
+            ts,
+            assign,
+            _states(
+                _meet(
+                    (masks[i] for i in _retained_positions(view.observations, obs, full)),
+                    ts,
+                )
+            ),
+        )
         for obs in fixed
     )
     return EvolutionResult(False, fixed, trajectories)

@@ -142,10 +142,15 @@ class SuiteReport:
             f"instances={self.instances} violations={len(self.violations)}"
         )
 
-    def render_text(self) -> str:
+    def render_text(self, max_violations: Optional[int] = None) -> str:
+        """Summary, notes and one line per violation, at most ``max_violations``."""
+        shown = self.violations[:max_violations]
         lines = [self.summary()]
         lines.extend(self.notes)
-        lines.extend(v.describe() for v in self.violations)
+        lines.extend(v.describe() for v in shown)
+        hidden = len(self.violations) - len(shown)
+        if hidden > 0:
+            lines.append(f"... and {hidden} more violations")
         return "\n".join(lines)
 
     def to_data(self) -> dict:

@@ -218,6 +218,20 @@ def test_repair_consistent_scenario(capsys):
     assert len(lines) == 2 and lines[1].startswith("repair 1: ")
 
 
+def test_repair_constant_over_cap_fails_cleanly(capsys, tmp_path):
+    scenario = tmp_path / "long.bevs"
+    lines = ["scenario long", "initial states { {} }"]
+    for i in range(21):
+        lines += ["act noop", "obs formula " + ("Acid" if i % 2 else "!Acid")]
+    lines.append("reliability constant")
+    scenario.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(
+        capsys, "repair", "--domain", _DOMAIN, "--scenario", str(scenario)
+    )
+    assert (code, out) == (1, "")
+    assert "capped" in err
+
+
 def test_check_agm_text(capsys):
     code, out, err = _run(capsys, "check", "--suite", "agm", "--fluents", "2")
     assert code == 0

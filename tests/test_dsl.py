@@ -533,6 +533,63 @@ def test_result_from_json_plain_trajectory(litmus):
     assert isinstance(res2, tuple)
 
 
+def _drop(*path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+
+    return edit
+
+
+def _put(value, *path):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop("signature"), "missing field signature"),
+        (_put([], "signature"), "field signature must be an object"),
+        (_drop("signature", "fluents"), "missing field signature.fluents"),
+        (_put("Red", "signature", "fluents"), "field signature.fluents must be a list"),
+        (_put([3], "signature", "fluents"), "fluent name must be a non-empty string"),
+        (_drop("signature", "actions"), "missing field signature.actions"),
+        (_put(None, "signature", "actions"), "field signature.actions must be a list"),
+        (_drop("trajectories"), "missing field trajectories"),
+        (_put({}, "trajectories"), "field trajectories must be a list"),
+        (_put([5], "trajectories"), "field trajectories must hold lists"),
+        (_put([[["Red"]]], "trajectories"), "field trajectories must hold lists"),
+        (_put([[[["Purple"]]]], "trajectories"), "unknown fluent 'Purple'"),
+        (_drop("consistent"), "missing field consistent"),
+        (_put("yes", "consistent"), "field consistent must be true, false or null"),
+        (
+            lambda doc: doc.update(consistent=None, trajectories=doc["trajectories"] * 2),
+            "a plain trajectory needs exactly one entry in trajectories",
+        ),
+        (_drop("repairs"), "missing field repairs"),
+        (_put(3, "repairs"), "field repairs must be a list"),
+        (_put([[[["Blue", 7]]]], "repairs"), "unknown fluent 7"),
+    ],
+)
+def test_result_from_json_malformed(litmus, edit, message):
+    res = _litmus_red_result(litmus)
+    doc = json.loads(serialize_result(res, litmus.signature, "machine"))
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        result_from_json(json.dumps(doc))
+
+
+def test_result_from_json_not_an_object():
+    with pytest.raises(ValueError, match="the document must be an object"):
+        result_from_json("[1, 2]")
+
+
 # ---------------------------------------------------------------------------
 # Bundled files and fuzz.
 

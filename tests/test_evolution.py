@@ -3,6 +3,7 @@ import hypothesis.strategies as st
 from hypothesis import assume, given
 
 from bevo import (
+    MAX_REPAIR_POSITIONS,
     EvolutionResult,
     InconsistentView,
     WorldView,
@@ -234,6 +235,32 @@ def test_repair_search_cap(tiny_sig):
     view = WorldView(("noop",) * n, (frozenset((0,)),) * n)
     with pytest.raises(ValueError):
         minimal_repair_candidates(view, ts)
+
+
+def test_repairs_recency_has_no_cap(tiny_sig):
+    """Injective orders repair greedily, past the lattice cap."""
+    ts = complete_transitions(tiny_sig, ())
+    n = 40
+    obs = tuple(frozenset((i % 2,)) for i in range(n))
+    view = WorldView(("noop",) * n, obs)
+    full = universe(tiny_sig)
+    # The last observation is the most reliable; every other one contradicts it.
+    expected = tuple(o if i % 2 else full for i, o in enumerate(obs))
+    assert repairs(view, ts) == (expected,)
+    kappa = frozenset((0, 1))
+    res = evolve(kappa, view, ts)
+    assert res.repaired_views == (expected,)
+    assert res.trajectories == ((frozenset((1,)),) * (n + 1),)
+
+
+def test_repairs_constant_still_capped(tiny_sig):
+    ts = complete_transitions(tiny_sig, ())
+    n = MAX_REPAIR_POSITIONS + 1
+    view = WorldView(("noop",) * n, tuple(frozenset((i % 2,)) for i in range(n)))
+    with pytest.raises(ValueError, match="capped"):
+        repairs(view, ts, constant)
+    with pytest.raises(ValueError, match="capped"):
+        evolve(frozenset((0,)), view, ts, r=constant)
 
 
 def test_repairs_recency_unique(conflict_view, litmus):

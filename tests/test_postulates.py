@@ -244,6 +244,16 @@ def test_suite_report_rendering():
     json.dumps(rep.to_data())
 
 
+def test_suite_report_rendering_caps_violations():
+    vio = naive_two_shot_dp_example()
+    rep = SuiteReport("demo", "tiny", 3, (vio,) * 4, ("a note",))
+    full = rep.render_text().splitlines()
+    assert full == [rep.summary(), "a note"] + [vio.describe()] * 4
+    assert rep.render_text(max_violations=4).splitlines() == full
+    capped = rep.render_text(max_violations=1).splitlines()
+    assert capped == full[:3] + ["... and 3 more violations"]
+
+
 def test_violation_describe_mentions_states():
     vio = naive_two_shot_dp_example()
     text = vio.describe()
