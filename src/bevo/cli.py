@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .kernel import (
@@ -52,7 +53,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     p = _ArgumentParser(
         prog="bevo",
         description=(
@@ -304,7 +307,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         out, code = _COMMANDS[args.command](args)
     except (_CliError, ValueError, OSError) as e:

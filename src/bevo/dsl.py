@@ -13,6 +13,7 @@ structurally equal document, and equal documents serialize to equal bytes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any, Iterator, Union
 
@@ -70,9 +71,16 @@ class _Cursor:
         self.text = text
         self.line = line
         self.pos = 0
+        self.depth = 0  # formula levels open at pos
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.line, self.pos + 1)
+
+    def nest(self) -> None:
+        """Open one more formula level, within MAX_FORMULA_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_FORMULA_DEPTH:
+            raise self.error(f"formula nested more than {MAX_FORMULA_DEPTH} levels deep")
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -160,23 +168,34 @@ class _Cursor:
 
 # ---------------------------------------------------------------------------
 # Formulas.  Precedence ! > & > | > -> > <->, arrows right-associative.
+#
+# Every parenthesis, negation and binary operator opens one level, kept on
+# the cursor until its operand is parsed (for a chain of & or |, until the
+# chain ends), so a formula deeper than this is a ParseError and never
+# exhausts the interpreter's stack, however it nests.
+MAX_FORMULA_DEPTH = 100
 
 
 def _parse_formula(cur: _Cursor, sig: Signature) -> Formula:
     left = _parse_implies(cur, sig)
     if cur.take("<->"):
-        return Iff(left, _parse_formula(cur, sig))
+        cur.nest()
+        left = Iff(left, _parse_formula(cur, sig))
+        cur.depth -= 1
     return left
 
 
 def _parse_implies(cur: _Cursor, sig: Signature) -> Formula:
     left = _parse_or(cur, sig)
     if cur.take("->"):
-        return Implies(left, _parse_implies(cur, sig))
+        cur.nest()
+        left = Implies(left, _parse_implies(cur, sig))
+        cur.depth -= 1
     return left
 
 
 def _parse_or(cur: _Cursor, sig: Signature) -> Formula:
+    base = cur.depth
     left = _parse_and(cur, sig)
     while True:
         cur.skip_ws()
@@ -184,30 +203,39 @@ def _parse_or(cur: _Cursor, sig: Signature) -> Formula:
         # does not exist; single '|' only.
         if cur.text.startswith("|", cur.pos):
             cur.pos += 1
+            cur.nest()
             left = Or(left, _parse_and(cur, sig))
         else:
+            cur.depth = base
             return left
 
 
 def _parse_and(cur: _Cursor, sig: Signature) -> Formula:
+    base = cur.depth
     left = _parse_unary(cur, sig)
     while cur.take("&"):
+        cur.nest()
         left = And(left, _parse_unary(cur, sig))
+    cur.depth = base
     return left
 
 
 def _parse_unary(cur: _Cursor, sig: Signature) -> Formula:
     if cur.take("!"):
-        return Not(_parse_unary(cur, sig))
-    if cur.take("("):
+        cur.nest()
+        inner: Formula = Not(_parse_unary(cur, sig))
+    elif cur.take("("):
+        cur.nest()
         inner = _parse_formula(cur, sig)
         cur.expect(")")
-        return inner
-    name = cur.word()
-    if name not in sig.fluents:
-        cur.pos -= len(name)
-        raise cur.error(f"unknown fluent {name!r}")
-    return Atom(name)
+    else:
+        name = cur.word()
+        if name not in sig.fluents:
+            cur.pos -= len(name)
+            raise cur.error(f"unknown fluent {name!r}")
+        return Atom(name)
+    cur.depth -= 1
+    return inner
 
 
 def parse_formula(text: str, sig: Signature, line: int = 1) -> Formula:
@@ -258,14 +286,20 @@ def serialize_formula(f: Formula) -> str:
 # Shared line machinery.
 
 
-def _lines(text: str) -> Iterator[_Cursor]:
-    """Non-blank lines with comments stripped, as positioned cursors."""
+def _raw_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Numbered non-blank lines with comments stripped."""
     for i, raw in enumerate(text.splitlines(), start=1):
         hash_at = raw.find("#")
         if hash_at != -1:
             raw = raw[:hash_at]
         if raw.strip():
-            yield _Cursor(raw, i)
+            yield i, raw
+
+
+def _lines(text: str) -> Iterator[_Cursor]:
+    """Non-blank lines with comments stripped, as positioned cursors."""
+    for i, raw in _raw_lines(text):
+        yield _Cursor(raw, i)
 
 
 def _directive(cur: _Cursor) -> str:
@@ -293,6 +327,28 @@ class DomainDoc:
     strict: bool = False
 
 
+# One well-formed ``transition ACT: {F,...} -> {F,...}`` line, in exactly
+# the grammar _Cursor accepts: spaces and tabs only, ASCII names.  The groups
+# are the action and the inner text of each state literal (None for ``{}``).
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_LITERAL = rf"\{{[ \t]*(?:({_NAME}(?:[ \t]*,[ \t]*{_NAME})*)[ \t]*)?\}}"
+_TRANSITION_LINE = re.compile(
+    rf"[ \t]*transition[ \t]+({_NAME})[ \t]*:[ \t]*{_LITERAL}[ \t]*->[ \t]*{_LITERAL}[ \t]*"
+)
+
+
+def _literal_state(inner: str, bits: dict[str, int]) -> int:
+    """The state a literal's inner text names, or -1 if it names an
+    unknown fluent or one fluent twice."""
+    state = 0
+    for name in inner.split(","):
+        bit = bits.get(name.strip(" \t"), 0)
+        if not bit or state & bit:
+            return -1
+        state |= bit
+    return state
+
+
 def parse_domain(text: str) -> DomainDoc:
     """Parse a domain file.
 
@@ -305,41 +361,71 @@ def parse_domain(text: str) -> DomainDoc:
     name = None
     fluents: tuple[str, ...] | None = None
     actions: tuple[str, ...] = ()
-    raw_transitions: list[tuple[_Cursor, int, str, int]] = []
+    triples: list[tuple[int, str, int]] = []
     flags = {"deterministic": False, "strict": False}
     sig: Signature | None = None
-    seen_sources: set[tuple[str, int]] = set()
+    sources: set[tuple[str, int]] = set()
+    duplicate: ParseError | None = None
+    # Per parse: fluent bits, and each distinct literal text decoded once.
+    bits: dict[str, int] = {}
+    states: dict[str | None, int] = {None: 0}
 
-    for cur in _lines(text):
-        key = _directive(cur)
-        if key == "domain":
-            if name is not None:
-                raise cur.error("duplicate 'domain' directive")
-            name = _check_word_name(cur, cur.word(), "domain")
-            cur.expect_end()
-        elif name is None:
-            raise cur.error("the first directive must be 'domain NAME'")
-        elif key == "fluents":
-            if fluents is not None:
-                raise cur.error("duplicate 'fluents' directive")
-            if raw_transitions:
-                raise cur.error("'fluents' must come before any transition")
-            got = []
-            while not cur.at_end():
-                got.append(_check_word_name(cur, cur.word(), "fluent"))
-            if not got:
-                raise cur.error("at least one fluent is required")
-            fluents = tuple(got)
-        elif key == "actions":
-            if actions:
-                raise cur.error("duplicate 'actions' directive")
-            if raw_transitions:
-                raise cur.error("'actions' must come before any transition")
-            got = []
-            while not cur.at_end():
-                got.append(_check_word_name(cur, cur.word(), "action"))
-            actions = tuple(got)
-        elif key == "transition":
+    for lineno, raw in _raw_lines(text):
+        # Transition lines the pattern accepts skip the cursor; any other
+        # line, malformed ones included, goes through the cursor grammar so
+        # that every ParseError keeps its message and position.
+        m = _TRANSITION_LINE.fullmatch(raw) if sig is not None else None
+        if m is not None:
+            act, src_text, dst_text = m.groups()
+            src = states.get(src_text)
+            if src is None:
+                src = states[src_text] = _literal_state(src_text, bits)
+            dst = states.get(dst_text)
+            if dst is None:
+                dst = states[dst_text] = _literal_state(dst_text, bits)
+            if src < 0 or dst < 0 or act == NULL_ACTION or act not in sig.actions:
+                m = None
+        if m is None:
+            cur = _Cursor(raw, lineno)
+            key = _directive(cur)
+            if key == "domain":
+                if name is not None:
+                    raise cur.error("duplicate 'domain' directive")
+                name = _check_word_name(cur, cur.word(), "domain")
+                cur.expect_end()
+                continue
+            if name is None:
+                raise cur.error("the first directive must be 'domain NAME'")
+            if key == "fluents":
+                if fluents is not None:
+                    raise cur.error("duplicate 'fluents' directive")
+                if triples:
+                    raise cur.error("'fluents' must come before any transition")
+                got = []
+                while not cur.at_end():
+                    got.append(_check_word_name(cur, cur.word(), "fluent"))
+                if not got:
+                    raise cur.error("at least one fluent is required")
+                fluents = tuple(got)
+                continue
+            if key == "actions":
+                if actions:
+                    raise cur.error("duplicate 'actions' directive")
+                if triples:
+                    raise cur.error("'actions' must come before any transition")
+                got = []
+                while not cur.at_end():
+                    got.append(_check_word_name(cur, cur.word(), "action"))
+                actions = tuple(got)
+                continue
+            if key in flags:
+                cur.expect_end()
+                if flags[key]:
+                    raise cur.error(f"duplicate {key!r} pragma")
+                flags[key] = True
+                continue
+            if key != "transition":
+                raise cur.error(f"unknown directive {key!r}")
             if fluents is None:
                 raise cur.error("'fluents' must come before any transition")
             if sig is None:
@@ -347,6 +433,7 @@ def parse_domain(text: str) -> DomainDoc:
                     sig = make_signature(fluents, actions)
                 except ValueError as e:
                     raise cur.error(str(e))
+                bits = {f: 1 << k for k, f in enumerate(sig.fluents)}
             act = cur.word()
             if act == NULL_ACTION:
                 raise cur.error(
@@ -361,20 +448,20 @@ def parse_domain(text: str) -> DomainDoc:
             cur.expect("->")
             dst = cur.state_literal(sig)
             cur.expect_end()
-            if flags["deterministic"] and (act, src) in seen_sources:
-                raise cur.error(
+        # A duplicate source is an error only under 'deterministic', which
+        # may come before or after the transitions; the first one found is
+        # reported, at the end of its line.
+        if (act, src) in sources:
+            if duplicate is None:
+                duplicate = ParseError(
                     f"duplicate transition source under 'deterministic': "
-                    f"{act} from {format_state(sig, src)}"
+                    f"{act} from {format_state(sig, src)}",
+                    lineno,
+                    len(raw) + 1,
                 )
-            seen_sources.add((act, src))
-            raw_transitions.append((cur, src, act, dst))
-        elif key in flags:
-            cur.expect_end()
-            if flags[key]:
-                raise cur.error(f"duplicate {key!r} pragma")
-            flags[key] = True
         else:
-            raise cur.error(f"unknown directive {key!r}")
+            sources.add((act, src))
+        triples.append((src, act, dst))
 
     if name is None:
         raise ParseError("empty domain file", 1, 1)
@@ -382,31 +469,21 @@ def parse_domain(text: str) -> DomainDoc:
         raise ParseError("missing 'fluents' directive", 1, 1)
     if sig is None:
         sig = make_signature(fluents, actions)
-    if flags["deterministic"]:
-        # Covers the pragma-after-transitions order; the in-loop check
-        # covers transitions after the pragma.
-        seen: set[tuple[str, int]] = set()
-        for line_cur, src, act, _ in raw_transitions:
-            if (act, src) in seen:
-                raise line_cur.error(
-                    f"duplicate transition source under 'deterministic': "
-                    f"{act} from {format_state(sig, src)}"
-                )
-            seen.add((act, src))
+    if flags["deterministic"] and duplicate is not None:
+        raise duplicate
     if flags["strict"]:
-        covered = {(act, src) for _, src, act, _ in raw_transitions}
         for act in sig.actions:
             if act == NULL_ACTION:
                 continue
             for s in range(sig.num_states):
-                if (act, s) not in covered:
+                if (act, s) not in sources:
                     raise ParseError(
                         f"'strict' demands a transition for {act} from "
                         f"{format_state(sig, s)}",
                         1,
                         1,
                     )
-    ts = complete_transitions(sig, [(s, a, d) for _, s, a, d in raw_transitions])
+    ts = complete_transitions(sig, triples)
     return DomainDoc(name, sig, ts, flags["deterministic"], flags["strict"])
 
 
@@ -417,16 +494,16 @@ def serialize_domain(doc: DomainDoc) -> str:
     user_actions = [a for a in sig.actions if a != NULL_ACTION]
     if user_actions:
         lines.append("actions " + " ".join(user_actions))
-    for s, a, d in sorted(
-        (t for t in doc.ts.relation if t[1] != NULL_ACTION),
-        key=lambda t: (t[1], t[0], t[2]),
-    ):
-        # A lone self-loop is implicit; one beside other successors is not.
-        if s == d and not doc.strict and len(doc.ts.successors(s, a)) == 1:
-            continue
-        lines.append(
-            f"transition {a}: {format_state(sig, s)} -> {format_state(sig, d)}"
-        )
+    for a in sorted(user_actions):
+        for s in range(sig.num_states):
+            row = doc.ts.successors(s, a)
+            for d in sorted(row):
+                # A lone self-loop is implicit; one beside other successors is not.
+                if s == d and not doc.strict and len(row) == 1:
+                    continue
+                lines.append(
+                    f"transition {a}: {format_state(sig, s)} -> {format_state(sig, d)}"
+                )
     if doc.declared_deterministic:
         lines.append("deterministic")
     if doc.strict:

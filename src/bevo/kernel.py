@@ -15,7 +15,8 @@ identity and cannot be redefined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable
 
 NULL_ACTION = "noop"
 
@@ -36,9 +37,23 @@ class Signature:
     fluents: tuple[str, ...]
     actions: tuple[str, ...]
 
-    @property
+    # Derived once per signature, on first use; not fields, so equality,
+    # hashing and the constructor see only the two vocabularies.
+    @cached_property
     def num_states(self) -> int:
         return 1 << len(self.fluents)
+
+    @cached_property
+    def _universe(self) -> StateSet:
+        return frozenset(range(self.num_states))
+
+    @cached_property
+    def _true_names(self) -> tuple[tuple[str, ...], ...]:
+        """The true fluents of every state, indexed by state."""
+        names: list[tuple[str, ...]] = [()]
+        for f in self.fluents:
+            names += [t + (f,) for t in names]
+        return tuple(names)
 
 
 def _check_name(name: str, kind: str) -> None:
@@ -69,7 +84,7 @@ def make_signature(fluents: Iterable[str], actions: Iterable[str] = ()) -> Signa
 
 def universe(sig: Signature) -> StateSet:
     """The set of all states over the signature."""
-    return frozenset(range(sig.num_states))
+    return sig._universe
 
 
 def state_index(sig: Signature, true_fluents: Iterable[str]) -> int:
@@ -87,22 +102,33 @@ def true_fluents(sig: Signature, state: int) -> tuple[str, ...]:
     """The fluents true in a state, in declaration order."""
     if not 0 <= state < sig.num_states:
         raise ValueError(f"state index {state} out of range")
-    return tuple(f for k, f in enumerate(sig.fluents) if state >> k & 1)
+    return sig._true_names[state]
 
 
 def format_state(sig: Signature, state: int) -> str:
     return "{" + ",".join(true_fluents(sig, state)) + "}"
 
 
+def _sorted_names(sig: Signature, states: Iterable[int]) -> list[tuple[str, ...]]:
+    """The true fluents of each state, in canonical index order."""
+    ordered = sorted(states)
+    n = sig.num_states
+    if ordered and not (0 <= ordered[0] and ordered[-1] < n):
+        bad = next(s for s in ordered if not 0 <= s < n)
+        raise ValueError(f"state index {bad} out of range")
+    names = sig._true_names
+    return [names[s] for s in ordered]
+
+
 def format_state_set(sig: Signature, states: Iterable[int]) -> str:
     """Render a state set with members in canonical index order."""
-    inner = ", ".join(format_state(sig, s) for s in sorted(states))
+    inner = ", ".join("{" + ",".join(t) + "}" for t in _sorted_names(sig, states))
     return "{ " + inner + " }" if inner else "{ }"
 
 
 def states_data(sig: Signature, states: Iterable[int]) -> list[list[str]]:
     """Machine encoding of a state set: sorted states as true-fluent lists."""
-    return [list(true_fluents(sig, s)) for s in sorted(states)]
+    return [list(t) for t in _sorted_names(sig, states)]
 
 
 def signature_data(sig: Signature) -> dict:
@@ -158,56 +184,72 @@ class Iff(Formula):
 
 
 def models(phi: Formula, sig: Signature) -> StateSet:
-    """All states of the signature that satisfy the formula."""
+    """All states of the signature that satisfy the formula.
+
+    Evaluated with an explicit stack, so a formula of any depth is fine.
+    """
     full = universe(sig)
-    if isinstance(phi, Atom):
-        if phi.name not in sig.fluents:
-            raise ValueError(f"unknown fluent {phi.name!r} in formula")
-        k = sig.fluents.index(phi.name)
-        return frozenset(s for s in full if s >> k & 1)
-    if isinstance(phi, Not):
-        return full - models(phi.arg, sig)
-    if isinstance(phi, And):
-        return models(phi.left, sig) & models(phi.right, sig)
-    if isinstance(phi, Or):
-        return models(phi.left, sig) | models(phi.right, sig)
-    if isinstance(phi, Implies):
-        return (full - models(phi.left, sig)) | models(phi.right, sig)
-    if isinstance(phi, Iff):
-        left, right = models(phi.left, sig), models(phi.right, sig)
-        return full - (left ^ right)
-    raise TypeError(f"not a formula: {phi!r}")
+    todo: list[tuple[Formula, bool]] = [(phi, False)]
+    done: list[StateSet] = []
+    while todo:
+        f, ready = todo.pop()
+        if isinstance(f, Atom):
+            if f.name not in sig.fluents:
+                raise ValueError(f"unknown fluent {f.name!r} in formula")
+            k = sig.fluents.index(f.name)
+            done.append(frozenset(s for s in full if s >> k & 1))
+        elif isinstance(f, Not):
+            if ready:
+                done.append(full - done.pop())
+            else:
+                todo += ((f, True), (f.arg, False))
+        elif isinstance(f, (And, Or, Implies, Iff)):
+            if not ready:
+                # The left operand is evaluated first, as a reader would.
+                todo += ((f, True), (f.right, False), (f.left, False))
+                continue
+            right = done.pop()
+            left = done.pop()
+            if isinstance(f, And):
+                done.append(left & right)
+            elif isinstance(f, Or):
+                done.append(left | right)
+            elif isinstance(f, Implies):
+                done.append((full - left) | right)
+            else:
+                done.append(full - (left ^ right))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return done.pop()
 
 
 # ---------------------------------------------------------------------------
 # Transition systems.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransitionSystem:
     """A total labelled transition relation over the states of a signature.
 
-    ``relation`` holds (source, action, target) triples and must cover every
-    (state, action) pair; rows for the noop action must be exactly the
-    identity.  Use :func:`complete_transitions` to build one from a partial
-    description.  Per-action successor tables are precomputed so that update
-    and pre-image loops stay cheap.
+    ``TransitionSystem(sig, relation)`` takes (source, action, target)
+    triples that must cover every (state, action) pair; rows for the noop
+    action must be exactly the identity.  Use :func:`complete_transitions`
+    to build one from a partial description.  Only the per-action successor
+    tables are stored; ``relation`` is derived from them on first use.
     """
 
     signature: Signature
-    relation: frozenset[tuple[int, str, int]]
-    _succ_sets: dict[str, tuple[StateSet, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-    _succ_fun: dict[str, tuple[int, ...]] | None = field(
-        init=False, repr=False, compare=False
-    )
+    _succ_sets: dict[str, tuple[StateSet, ...]] = field(repr=False)
+    _succ_fun: dict[str, tuple[int, ...]] | None = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        sig = self.signature
-        n = sig.num_states
-        raw: dict[str, list[set[int]]] = {a: [set() for _ in range(n)] for a in sig.actions}
-        for src, act, dst in self.relation:
+    def __init__(
+        self, signature: Signature, relation: Iterable[tuple[int, str, int]]
+    ) -> None:
+        n = signature.num_states
+        raw: dict[str, list[set[int]]] = {
+            a: [set() for _ in range(n)] for a in signature.actions
+        }
+        for src, act, dst in relation:
             if act not in raw:
                 raise ValueError(f"unknown action {act!r} in transition")
             if not (0 <= src < n and 0 <= dst < n):
@@ -224,18 +266,41 @@ class TransitionSystem:
                         f"no successor for state {src} under action {a!r}; "
                         "use complete_transitions to fill in self-loops"
                     )
-        succ_sets = {a: tuple(frozenset(row) for row in rows) for a, rows in raw.items()}
-        deterministic = all(
-            len(row) == 1 for rows in succ_sets.values() for row in rows
+        self._set_tables(
+            signature, {a: tuple(map(frozenset, rows)) for a, rows in raw.items()}
         )
+
+    @classmethod
+    def _from_tables(
+        cls, signature: Signature, succ_sets: dict[str, tuple[StateSet, ...]]
+    ) -> TransitionSystem:
+        """A system from total, already validated successor tables."""
+        ts = cls.__new__(cls)
+        ts._set_tables(signature, succ_sets)
+        return ts
+
+    def _set_tables(
+        self, signature: Signature, succ_sets: dict[str, tuple[StateSet, ...]]
+    ) -> None:
         succ_fun = None
-        if deterministic:
-            succ_fun = {
-                a: tuple(next(iter(row)) for row in rows)
-                for a, rows in succ_sets.items()
-            }
+        if all(max(map(len, rows)) == 1 for rows in succ_sets.values()):
+            succ_fun = {a: tuple(map(min, rows)) for a, rows in succ_sets.items()}
+        object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "_succ_sets", succ_sets)
         object.__setattr__(self, "_succ_fun", succ_fun)
+
+    def __hash__(self) -> int:
+        return hash((self.signature, tuple(self._succ_sets.items())))
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[int, str, int]]:
+        """Every (source, action, target) triple of the system."""
+        return frozenset(
+            (src, a, dst)
+            for a, rows in self._succ_sets.items()
+            for src, row in enumerate(rows)
+            for dst in row
+        )
 
     @property
     def deterministic(self) -> bool:
@@ -271,8 +336,7 @@ def complete_transitions(
     triples are rejected unless they are identity loops.
     """
     n = sig.num_states
-    listed = set()
-    covered: set[tuple[int, str]] = set()
+    listed: dict[tuple[str, int], set[int]] = {}
     for src, act, dst in triples:
         if act == NULL_ACTION and src != dst:
             raise ValueError(
@@ -282,12 +346,13 @@ def complete_transitions(
             raise ValueError(f"unknown action {act!r} in transition")
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"transition ({src}, {act!r}, {dst}) out of range")
-        listed.add((src, act, dst))
-        covered.add((src, act))
-    for act in sig.actions:
-        for src in range(n):
-            if act == NULL_ACTION:
-                listed.add((src, act, src))
-            elif (src, act) not in covered:
-                listed.add((src, act, src))
-    return TransitionSystem(sig, frozenset(listed))
+        row = listed.get((act, src))
+        if row is None:
+            listed[act, src] = {dst}
+        else:
+            row.add(dst)
+    loops = tuple(frozenset((s,)) for s in range(n))
+    tables = {a: list(loops) for a in sig.actions}
+    for (act, src), row in listed.items():
+        tables[act][src] = frozenset(row)
+    return TransitionSystem._from_tables(sig, {a: tuple(t) for a, t in tables.items()})

@@ -382,3 +382,48 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "{ {Red,Acid} }\n"
+
+
+@pytest.mark.parametrize(
+    "obs",
+    [
+        "(" * 200 + "Acid" + ")" * 200,
+        " & ".join(["Acid"] * 1500),
+        " -> ".join(["Acid"] * 1500),
+        "!" * 3000 + "Acid",
+    ],
+    ids=["parentheses", "and-chain", "arrow-chain", "negations"],
+)
+def test_deep_formula_is_a_located_error(capsys, obs):
+    code, out, err = _run(
+        capsys, "revise", "--domain", _DOMAIN, "--belief", "{ {} }", "--obs", obs
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bevo: error: --obs: line 1, col ")
+    assert f"nested more than {bevo.dsl.MAX_FORMULA_DEPTH} levels deep" in err
+
+
+def test_formula_at_the_depth_bound_is_accepted(capsys):
+    depth = bevo.dsl.MAX_FORMULA_DEPTH
+    obs = "(" * depth + "Acid" + ")" * depth
+    code, out, _ = _run(
+        capsys, "revise", "--domain", _DOMAIN, "--belief", "{ {} }", "--obs", obs
+    )
+    assert (code, out) == (0, "{ {Acid} }\n")
+
+
+def test_argument_parser_is_built_on_first_use_only():
+    probe = (
+        "import bevo.cli as c\n"
+        "print(c._parser.cache_info().currsize)\n"
+        "c.main(['counterexample', 'lehmann'])\n"
+        "c.main(['counterexample', 'lehmann'])\n"
+        "print(c._parser.cache_info().misses)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "1")

@@ -20,6 +20,7 @@ from bevo import (
     true_fluents,
     universe,
 )
+from bevo.kernel import states_data
 
 from conftest import state_of
 
@@ -82,6 +83,25 @@ def test_universe():
     assert universe(make_signature(())) == frozenset((0,))
 
 
+def test_derived_signature_values_leave_equality_alone():
+    sig, same = make_signature(("p", "q")), make_signature(("p", "q"))
+    assert universe(sig) is universe(sig)
+    assert format_state_set(sig, universe(sig)) == "{ {}, {p}, {q}, {p,q} }"
+    assert sig == same and hash(sig) == hash(same)
+    assert repr(sig) == repr(same)
+
+
+def test_rendering_rejects_out_of_range_states():
+    sig = make_signature(("p",))
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=f"state index {bad} out of range"):
+            format_state_set(sig, (0, bad))
+        with pytest.raises(ValueError, match=f"state index {bad} out of range"):
+            states_data(sig, (bad, 1))
+        with pytest.raises(ValueError):
+            true_fluents(sig, bad)
+
+
 # Independent oracle: evaluate a formula state by state from a name->bool
 # assignment, with no set algebra involved.
 def _holds(f, assignment):
@@ -123,6 +143,22 @@ def test_models_matches_truth_table(f):
         if _holds(f, {n: bool(s >> i & 1) for i, n in enumerate(_SIG3.fluents)})
     )
     assert models(f, _SIG3) == expected
+
+
+def test_models_of_deep_formulas():
+    # Built directly, not parsed, so no parser depth bound applies.
+    chain = Atom("p")
+    for _ in range(5000):
+        chain = And(chain, Atom("q"))
+    assert models(chain, _SIG3) == frozenset((3, 7))
+    nots = Atom("r")
+    for _ in range(5001):
+        nots = Not(nots)
+    assert models(nots, _SIG3) == frozenset(range(4))
+    arrows = Atom("p")
+    for _ in range(3000):
+        arrows = Implies(Atom("q"), arrows)
+    assert models(arrows, _SIG3) == frozenset(s for s in range(8) if s & 1 or not s & 2)
 
 
 def test_models_unknown_fluent():
