@@ -24,11 +24,12 @@ from .kernel import (
 )
 from .update import update_seq
 from .revision import RankingAssignment, dalal_assignment, revise
-from .evolution import consistent, evolve, evolve_skeptical, preimage, repairs
+from .evolution import evolve, evolve_skeptical, preimage, repairs
 from .dsl import (
     DomainDoc,
     ParseError,
     RankingDoc,
+    ScenarioDoc,
     parse_domain,
     parse_formula,
     parse_ranking,
@@ -141,6 +142,13 @@ def _load_domain(path: str) -> DomainDoc:
         raise _CliError(f"{path}: {e}")
 
 
+def _load_scenario(path: str, dom: DomainDoc) -> ScenarioDoc:
+    try:
+        return parse_scenario(_read(path), dom)
+    except ParseError as e:
+        raise _CliError(f"{path}: {e}")
+
+
 def _load_ranking(path: str) -> RankingDoc:
     try:
         return parse_ranking(_read(path))
@@ -177,23 +185,16 @@ def _parse_value_set(value: str, sig: Signature, what: str) -> StateSet:
         raise _CliError(f"{what}: {e}")
 
 
-def _set_doc(sig: Signature, states: StateSet) -> str:
-    doc = {"signature": signature_data(sig), "result": states_data(sig, states)}
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _render_set(sig: Signature, states: StateSet, fmt: str) -> str:
     if fmt == "machine":
-        return _set_doc(sig, states)
+        doc = {"signature": signature_data(sig), "result": states_data(sig, states)}
+        return json.dumps(doc, indent=2) + "\n"
     return format_state_set(sig, states) + "\n"
 
 
 def _cmd_evolve(args: argparse.Namespace) -> tuple[str, int]:
     dom = _load_domain(args.domain)
-    try:
-        sc = parse_scenario(_read(args.scenario), dom)
-    except ParseError as e:
-        raise _CliError(f"{args.scenario}: {e}")
+    sc = _load_scenario(args.scenario, dom)
     assign, _ = _resolve_ranking(args.ranking, dom)
     run = evolve_skeptical if sc.mode == "skeptical" else evolve
     res = run(sc.initial, sc.view, dom.ts, assign, sc.reliability_fn())
@@ -233,12 +234,10 @@ def _cmd_preimage(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_repair(args: argparse.Namespace) -> tuple[str, int]:
     dom = _load_domain(args.domain)
-    try:
-        sc = parse_scenario(_read(args.scenario), dom)
-    except ParseError as e:
-        raise _CliError(f"{args.scenario}: {e}")
+    sc = _load_scenario(args.scenario, dom)
     reps = repairs(sc.view, dom.ts, sc.reliability_fn())
-    ok = consistent(sc.view, dom.ts)
+    # A consistent view is its own one repair; any other repair discards.
+    ok = reps == (sc.view.observations,)
     if args.format == "machine":
         doc = {
             "scenario": sc.name,

@@ -125,7 +125,11 @@ class _Cursor:
         if self.pos == digits:
             self.pos = start
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            count, self.pos = self.pos - digits, start
+            raise self.error(f"integer too long ({count} digits)") from None
 
     def expect_end(self) -> None:
         if not self.at_end():
@@ -254,32 +258,43 @@ def parse_state_set(text: str, sig: Signature) -> StateSet:
     return out
 
 
-def serialize_formula(f: Formula) -> str:
-    """Minimal-paren rendering using the grammar's precedence."""
+# Binary connectives: symbol, precedence, and the levels of both operands.
+# The parser left-associates & and |, so a right-nested one needs parens.
+_BINARY = {
+    And: ("&", 3, 3, 4),
+    Or: ("|", 2, 2, 3),
+    Implies: ("->", 1, 2, 1),
+    Iff: ("<->", 0, 1, 0),
+}
 
-    def go(g: Formula, level: int) -> str:
+
+def serialize_formula(f: Formula) -> str:
+    """Minimal-paren rendering using the grammar's precedence.
+
+    Rendered with an explicit stack, so a formula of any depth is fine.
+    """
+    out: list[str] = []
+    todo: list[Union[str, tuple[Formula, int]]] = [(f, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, level = item
         if isinstance(g, Atom):
-            return g.name
-        if isinstance(g, Not):
-            return "!" + go(g.arg, 4)
-        if isinstance(g, And):
-            # the parser left-associates, so a right-nested And needs parens
-            s = f"{go(g.left, 3)} & {go(g.right, 4)}"
-            need = level > 3
-        elif isinstance(g, Or):
-            s = f"{go(g.left, 2)} | {go(g.right, 3)}"
-            need = level > 2
-        elif isinstance(g, Implies):
-            s = f"{go(g.left, 2)} -> {go(g.right, 1)}"
-            need = level > 1
-        elif isinstance(g, Iff):
-            s = f"{go(g.left, 1)} <-> {go(g.right, 0)}"
-            need = level > 0
+            out.append(g.name)
+        elif isinstance(g, Not):
+            out.append("!")
+            todo.append((g.arg, 4))
+        elif type(g) in _BINARY:
+            op, prec, left, right = _BINARY[type(g)]
+            parens = level > prec
+            # Pushed last to first, so the left operand is rendered first.
+            todo += [")"] * parens + [(g.right, right), f" {op} ", (g.left, left)]
+            todo += ["("] * parens
         else:
             raise TypeError(f"not a formula: {g!r}")
-        return f"({s})" if need else s
-
-    return go(f, 0)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +319,6 @@ def _lines(text: str) -> Iterator[_Cursor]:
 
 def _directive(cur: _Cursor) -> str:
     return cur.word()
-
-
-def _check_word_name(cur: _Cursor, name: str, kind: str) -> str:
-    if name[0] not in _WORD_START or any(c not in _WORD_CHARS for c in name):
-        raise cur.error(f"{kind} name must be a plain identifier: {name!r}")
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +400,7 @@ def parse_domain(text: str) -> DomainDoc:
             if key == "domain":
                 if name is not None:
                     raise cur.error("duplicate 'domain' directive")
-                name = _check_word_name(cur, cur.word(), "domain")
+                name = cur.word()
                 cur.expect_end()
                 continue
             if name is None:
@@ -403,7 +412,7 @@ def parse_domain(text: str) -> DomainDoc:
                     raise cur.error("'fluents' must come before any transition")
                 got = []
                 while not cur.at_end():
-                    got.append(_check_word_name(cur, cur.word(), "fluent"))
+                    got.append(cur.word())
                 if not got:
                     raise cur.error("at least one fluent is required")
                 fluents = tuple(got)
@@ -415,7 +424,7 @@ def parse_domain(text: str) -> DomainDoc:
                     raise cur.error("'actions' must come before any transition")
                 got = []
                 while not cur.at_end():
-                    got.append(_check_word_name(cur, cur.word(), "action"))
+                    got.append(cur.word())
                 actions = tuple(got)
                 continue
             if key in flags:
@@ -539,6 +548,19 @@ class ScenarioDoc:
         return fixed_weights(self.weights or ())
 
 
+def _state_set_value(cur: _Cursor, sig: Signature) -> StateSet:
+    """The rest of the line: ``states LITERAL`` or ``formula FORMULA``."""
+    kind = cur.word()
+    if kind == "states":
+        out = cur.state_set_literal(sig)
+    elif kind == "formula":
+        out = models(_parse_formula(cur, sig), sig)
+    else:
+        raise cur.error("expected 'states' or 'formula'")
+    cur.expect_end()
+    return out
+
+
 def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
     """Parse a scenario file against an already-parsed domain.
 
@@ -563,7 +585,7 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
         if key == "scenario":
             if name is not None:
                 raise cur.error("duplicate 'scenario' directive")
-            name = _check_word_name(cur, cur.word(), "scenario")
+            name = cur.word()
             cur.expect_end()
         elif name is None:
             raise cur.error("the first directive must be 'scenario NAME'")
@@ -571,14 +593,7 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
             if initial is not None:
                 raise cur.error("duplicate 'initial' directive")
             initial_line = cur.line
-            kind = cur.word()
-            if kind == "states":
-                initial = cur.state_set_literal(sig)
-            elif kind == "formula":
-                initial = models(_parse_formula(cur, sig), sig)
-            else:
-                raise cur.error("expected 'states' or 'formula'")
-            cur.expect_end()
+            initial = _state_set_value(cur, sig)
             if not initial:
                 raise ParseError(
                     "the initial belief state may not be empty",
@@ -595,15 +610,7 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
                 steps.append((pending_act, full, False))
             pending_act = act
         elif key == "obs":
-            kind = cur.word()
-            if kind == "states":
-                obs = cur.state_set_literal(sig)
-            elif kind == "formula":
-                obs = models(_parse_formula(cur, sig), sig)
-            else:
-                raise cur.error("expected 'states' or 'formula'")
-            cur.expect_end()
-            steps.append((pending_act or NULL_ACTION, obs, True))
+            steps.append((pending_act or NULL_ACTION, _state_set_value(cur, sig), True))
             pending_act = None
         elif key == "reliability":
             if reliability is not None:
@@ -719,7 +726,7 @@ def parse_ranking(text: str) -> RankingDoc:
         if key == "ranking":
             if name is not None:
                 raise cur.error("duplicate 'ranking' directive")
-            name = _check_word_name(cur, cur.word(), "ranking")
+            name = cur.word()
             cur.expect_end()
         elif name is None:
             raise cur.error("the first directive must be 'ranking NAME'")
@@ -728,7 +735,7 @@ def parse_ranking(text: str) -> RankingDoc:
                 raise cur.error("duplicate 'fluents' directive")
             got = []
             while not cur.at_end():
-                got.append(_check_word_name(cur, cur.word(), "fluent"))
+                got.append(cur.word())
             if not got:
                 raise cur.error("at least one fluent is required")
             try:

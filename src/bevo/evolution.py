@@ -14,13 +14,13 @@ and a reliability ordering over the observations picks the final repairs.
 By default more recent observations are considered more reliable, which
 makes the repair unique.
 
-Each non-trivial observation is held as a bitmask of the initial states
-whose run satisfies it, so a set of kept observations is consistent exactly
-when the AND of their masks is non-zero.  When the reliability levels of
-those observations are pairwise distinct (recency, primacy, distinct
-weights) the preferred repair is found greedily, most reliable first, in one
-AND per observation.  Other orders sweep the lattice of kept sets, which is
-capped at ``MAX_REPAIR_POSITIONS`` non-trivial observations.
+One forward walk gives each non-trivial observation a mask of the initial
+states whose run satisfies it, and a set of kept positions is a mask too,
+bit i for position i: it is consistent exactly when the AND of its
+observations' masks is non-zero.  When their reliability levels are
+pairwise distinct (recency, primacy, distinct weights) the preferred repair
+is found greedily, most reliable first, in one AND per observation.  Other
+orders sweep the lattice of kept sets, capped at ``MAX_REPAIR_POSITIONS``.
 
 All operations here require a deterministic transition system.
 """
@@ -37,6 +37,8 @@ from .kernel import (
     Signature,
     StateSet,
     TransitionSystem,
+    _mask,
+    _members,
     complete_transitions,
     universe,
 )
@@ -110,14 +112,24 @@ def _require_deterministic(ts: TransitionSystem) -> None:
         )
 
 
+def _runs(actions: ActionTrajectory, ts: TransitionSystem) -> Iterator[Sequence[int]]:
+    """After each action in turn, the state reached from every initial state."""
+    _require_deterministic(ts)
+    run: Sequence[int] = range(ts.signature.num_states)
+    for a in actions:
+        succ = ts.successor_map(a)
+        run = [succ[p] for p in run]
+        yield run
+
+
 def preimage(alpha: StateSet, actions: ActionTrajectory, ts: TransitionSystem) -> StateSet:
     """States whose run through the action trajectory ends inside ``alpha``."""
-    _require_deterministic(ts)
-    cur = frozenset(alpha)
-    for a in reversed(tuple(actions)):
-        succ = ts.successor_map(a)
-        cur = frozenset(s for s in range(ts.signature.num_states) if succ[s] in cur)
-    return cur
+    alpha = frozenset(alpha)
+    # Keep the last run; with no actions every state stays where it is.
+    run: Sequence[int] = range(ts.signature.num_states)
+    for run in _runs(actions, ts):
+        pass
+    return frozenset(s for s, p in enumerate(run) if p in alpha)
 
 
 def _preimage_masks(view: WorldView, ts: TransitionSystem) -> dict[int, int]:
@@ -127,19 +139,11 @@ def _preimage_masks(view: WorldView, ts: TransitionSystem) -> dict[int, int]:
     observation i; trivially true observations are left out.  A set of
     positions is consistent exactly when the AND of their masks is non-zero.
     """
-    _require_deterministic(ts)
     full = universe(ts.signature)
-    run: Sequence[int] = range(ts.signature.num_states)
     masks = {}
-    for i, (a, obs) in enumerate(zip(view.actions, view.observations)):
-        succ = ts.successor_map(a)
-        run = [succ[p] for p in run]
+    for i, (run, obs) in enumerate(zip(_runs(view.actions, ts), view.observations)):
         if obs != full:
-            mask = 0
-            for s, p in enumerate(run):
-                if p in obs:
-                    mask |= 1 << s
-            masks[i] = mask
+            masks[i] = _mask(s for s, p in enumerate(run) if p in obs)
     return masks
 
 
@@ -151,23 +155,24 @@ def _meet(masks: Iterable[int], ts: TransitionSystem) -> int:
     return core
 
 
-def _states(mask: int) -> StateSet:
-    return frozenset(s for s in range(mask.bit_length()) if mask >> s & 1)
-
-
 def consistent(view: WorldView, ts: TransitionSystem) -> bool:
     """Whether some non-empty initial belief state satisfies the whole view."""
     return bool(_meet(_preimage_masks(view, ts).values(), ts))
 
 
-def _forward(
-    kappa: StateSet,
-    view: WorldView,
-    ts: TransitionSystem,
-    assign: RankingAssignment,
-    core: StateSet,
-) -> BeliefTrajectory:
-    trajectory = [revise(kappa, core, assign)]
+def _checked_assignment(
+    kappa: StateSet, ts: TransitionSystem, assign: RankingAssignment | None
+) -> RankingAssignment:
+    """The assignment to evolve ``kappa`` under, once the inputs are checked."""
+    _require_deterministic(ts)
+    if not kappa:
+        raise ValueError("cannot evolve an empty belief state")
+    return assign if assign is not None else dalal_assignment(ts.signature)
+
+
+def _forward(start: StateSet, view: WorldView, ts: TransitionSystem) -> BeliefTrajectory:
+    """``start`` followed by its updates through the view's actions."""
+    trajectory = [start]
     for a in view.actions:
         trajectory.append(update(trajectory[-1], a, ts))
     return tuple(trajectory)
@@ -185,39 +190,20 @@ def evolve_consistent(
     observation pre-images; the rest of the trajectory is forward update.
     Every entry i >= 1 of the result satisfies observation i by construction.
     """
-    _require_deterministic(ts)
-    if not kappa:
-        raise ValueError("cannot evolve an empty belief state")
-    if assign is None:
-        assign = dalal_assignment(ts.signature)
+    assign = _checked_assignment(kappa, ts, assign)
     core = _meet(_preimage_masks(view, ts).values(), ts)
     if not core:
         raise InconsistentView("world view is inconsistent; repair it first")
-    return _forward(kappa, view, ts, assign, _states(core))
+    return _forward(revise(kappa, _members(core), assign), view, ts)
 
 
-def weakenings(
-    observations: ObservationTrajectory, sig: Signature
-) -> Iterator[ObservationTrajectory]:
-    """All distinct trajectories obtained by discarding some observations.
-
-    Discarding replaces an observation with the full state set.  Positions
-    already trivially true contribute nothing, so the count is 2^k with k
-    the number of non-trivial positions.  Trajectories that discard fewer
-    positions come first.
-    """
-    full = universe(sig)
-    obs = tuple(frozenset(o) for o in observations)
-    lattice = [i for i, o in enumerate(obs) if o != full]
-    for k in range(len(lattice) + 1):
-        for dropped in combinations(lattice, k):
-            yield tuple(
-                full if i in dropped else o for i, o in enumerate(obs)
-            )
-
-
-def _view_sort_key(observations: ObservationTrajectory):
-    return tuple(tuple(sorted(o)) for o in observations)
+def _weakened(
+    observations: ObservationTrajectory, kept: int, full: StateSet
+) -> ObservationTrajectory:
+    """Keep the positions set in ``kept``; discard the rest to ``full``."""
+    return tuple(
+        frozenset(o) if kept >> i & 1 else full for i, o in enumerate(observations)
+    )
 
 
 def minimal_repair_candidates(
@@ -229,22 +215,19 @@ def minimal_repair_candidates(
     its discarded observations would break consistency.  Discarding
     everything is always consistent, so the result is never empty.
     """
-    _require_deterministic(ts)
     full = universe(ts.signature)
-    obs = tuple(frozenset(o) for o in view.observations)
-    lattice = [i for i, o in enumerate(obs) if o != full]
-    if len(lattice) > MAX_REPAIR_POSITIONS:
+    masks = _preimage_masks(view, ts)
+    if len(masks) > MAX_REPAIR_POSITIONS:
         raise ValueError(
-            f"{len(lattice)} repairable observations; "
+            f"{len(masks)} repairable observations; "
             f"the repair search is capped at {MAX_REPAIR_POSITIONS}"
         )
-    masks = _preimage_masks(view, ts)
     everything = _meet((), ts)
     accepted: list[int] = []  # kept sets, bit i for position i
     # Decreasing retained size: every consistent set met here is either
     # contained in an accepted maximal one or is itself maximal.
-    for k in range(len(lattice), -1, -1):
-        for kept in combinations(lattice, k):
+    for k in range(len(masks), -1, -1):
+        for kept in combinations(masks, k):
             core = everything
             bits = 0
             for i in kept:
@@ -252,37 +235,30 @@ def minimal_repair_candidates(
                 bits |= 1 << i
             if core and not any(bits & a == bits for a in accepted):
                 accepted.append(bits)
-    out = [
-        tuple(o if bits >> i & 1 else full for i, o in enumerate(obs))
-        for bits in accepted
-    ]
-    out.sort(key=_view_sort_key)
+    out = [_weakened(view.observations, bits, full) for bits in accepted]
+    out.sort(key=lambda obs: [sorted(o) for o in obs])
     return tuple(out)
 
 
 def _retained_positions(
     original: ObservationTrajectory, weakened: ObservationTrajectory, full: StateSet
-) -> frozenset[int]:
-    return frozenset(
-        i for i, o in enumerate(original) if o != full and weakened[i] == o
-    )
+) -> int:
+    """The positions a weakening kept, bit i for position i."""
+    return _mask(i for i, o in enumerate(original) if o != full and weakened[i] == o)
 
 
-def _prefer(
-    kept_a: frozenset[int], kept_b: frozenset[int], levels: Sequence[int], lattice: Sequence[int]
-) -> bool:
+def _prefer(kept_a: int, kept_b: int, by_level: Sequence[int]) -> bool:
     """Whether retaining ``kept_a`` beats ``kept_b`` in the reliability order.
 
-    Scanning reliability levels from most to least reliable, the first level
-    where the retained sets differ decides: the winner must retain a strict
-    superset of the loser's observations at that level.
+    ``by_level`` holds the positions of each reliability level, most
+    reliable first.  The first level where the retained sets differ decides:
+    the winner must retain a strict superset of the loser's positions there.
     """
-    for lev in sorted({levels[i] for i in lattice}):
-        at_level = {i for i in lattice if levels[i] == lev}
+    for at_level in by_level:
         a = kept_a & at_level
         b = kept_b & at_level
         if a != b:
-            return b < a
+            return a | b == a
     return False
 
 
@@ -305,31 +281,25 @@ def repairs(
     if len({levels[i] for i in lattice}) == len(lattice):
         masks = _preimage_masks(view, ts)
         core = _meet((), ts)
-        kept = set()
+        kept = 0
         for i in sorted(lattice, key=levels.__getitem__):
             if core & masks[i]:
                 core &= masks[i]
-                kept.add(i)
-        return (
-            tuple(
-                frozenset(o) if i in kept else full
-                for i, o in enumerate(view.observations)
-            ),
-        )
+                kept |= 1 << i
+        return (_weakened(view.observations, kept, full),)
     candidates = minimal_repair_candidates(view, ts)
     kept_sets = [
         _retained_positions(view.observations, cand, full) for cand in candidates
     ]
-    out = [
+    by_level = [
+        _mask(i for i in lattice if levels[i] == lev)
+        for lev in sorted({levels[i] for i in lattice})
+    ]
+    return tuple(
         cand
         for cand, kept in zip(candidates, kept_sets)
-        if not any(
-            _prefer(other, kept, levels, lattice)
-            for other in kept_sets
-            if other != kept
-        )
-    ]
-    return tuple(out)
+        if not any(_prefer(other, kept, by_level) for other in kept_sets if other != kept)
+    )
 
 
 @dataclass(frozen=True)
@@ -359,34 +329,20 @@ def evolve(
     one trajectory per repair; with an injective reliability function (such
     as the default recency ordering) there is exactly one repair.
     """
-    _require_deterministic(ts)
-    if not kappa:
-        raise ValueError("cannot evolve an empty belief state")
-    if assign is None:
-        assign = dalal_assignment(ts.signature)
+    assign = _checked_assignment(kappa, ts, assign)
     masks = _preimage_masks(view, ts)
     core = _meet(masks.values(), ts)
     if core:
-        trajectory = _forward(kappa, view, ts, assign, _states(core))
+        trajectory = _forward(revise(kappa, _members(core), assign), view, ts)
         return EvolutionResult(True, (view.observations,), (trajectory,))
     fixed = repairs(view, ts, r)
     full = universe(ts.signature)
-    trajectories = tuple(
-        _forward(
-            kappa,
-            view,
-            ts,
-            assign,
-            _states(
-                _meet(
-                    (masks[i] for i in _retained_positions(view.observations, obs, full)),
-                    ts,
-                )
-            ),
-        )
-        for obs in fixed
-    )
-    return EvolutionResult(False, fixed, trajectories)
+    trajectories = []
+    for obs in fixed:
+        kept = _retained_positions(view.observations, obs, full)
+        core = _meet((m for i, m in masks.items() if kept >> i & 1), ts)
+        trajectories.append(_forward(revise(kappa, _members(core), assign), view, ts))
+    return EvolutionResult(False, fixed, tuple(trajectories))
 
 
 def evolve_skeptical(
@@ -398,13 +354,7 @@ def evolve_skeptical(
 ) -> BeliefTrajectory:
     """Union the initial states of all repairs, then update forward once."""
     result = evolve(kappa, view, ts, assign, r)
-    start: set[int] = set()
-    for trajectory in result.trajectories:
-        start |= trajectory[0]
-    merged = [frozenset(start)]
-    for a in view.actions:
-        merged.append(update(merged[-1], a, ts))
-    return tuple(merged)
+    return _forward(frozenset().union(*(t[0] for t in result.trajectories)), view, ts)
 
 
 def padded_view(
@@ -435,11 +385,7 @@ def final_state_shortcut(
     first and revising once at the end, so the intermediate revision of the
     initial state can be skipped.
     """
-    _require_deterministic(ts)
-    if not kappa:
-        raise ValueError("cannot evolve an empty belief state")
-    if assign is None:
-        assign = dalal_assignment(ts.signature)
+    assign = _checked_assignment(kappa, ts, assign)
     alpha = frozenset(alpha)
     progressed = update_seq(kappa, actions, ts)
     if not alpha & progressed:

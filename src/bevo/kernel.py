@@ -3,9 +3,10 @@
 A signature fixes a finite list of fluent names and a finite list of action
 names.  A state is a truth assignment to the fluents, identified with its
 canonical index: bit k of the index gives the value of the k-th declared
-fluent.  All set-valued operations in this package work directly on these
-integer indices; helpers below convert between indices, fluent sets, and
-display strings.
+fluent.  Public functions take and return state sets as frozensets of these
+indices; inside the package a state set may also be a mask, an int with bit
+s set for each member s, which only ``_mask`` and ``_members`` convert.
+Other helpers convert between indices, fluent sets, and display strings.
 
 Transition systems are total by construction: every (state, action) pair has
 at least one successor.  The reserved action "noop" always behaves as the
@@ -48,6 +49,16 @@ class Signature:
         return frozenset(range(self.num_states))
 
     @cached_property
+    def _fluent_masks(self) -> tuple[int, ...]:
+        """Per fluent, the mask of the states in which it is true."""
+        full = (1 << self.num_states) - 1
+        # full // (2^(2^k) + 1) repeats 2^k set bits and 2^k clear ones from
+        # bit 0 up: the states in which fluent k is false.
+        return tuple(
+            full ^ full // ((1 << (1 << k)) + 1) for k in range(len(self.fluents))
+        )
+
+    @cached_property
     def _true_names(self) -> tuple[tuple[str, ...], ...]:
         """The true fluents of every state, indexed by state."""
         names: list[tuple[str, ...]] = [()]
@@ -80,6 +91,20 @@ def make_signature(fluents: Iterable[str], actions: Iterable[str] = ()) -> Signa
     if NULL_ACTION not in act:
         act = act + (NULL_ACTION,)
     return Signature(flu, act)
+
+
+def _mask(states: Iterable[int]) -> int:
+    """The mask of a state set: bit s is set for each member s."""
+    mask = 0
+    for s in states:
+        mask |= 1 << s
+    return mask
+
+
+def _members(mask: int) -> StateSet:
+    """The state set of a mask: every s whose bit is set."""
+    # bin() gives the bits most significant first, after a '0b' prefix.
+    return frozenset(s for s, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 def universe(sig: Signature) -> StateSet:
@@ -186,21 +211,21 @@ class Iff(Formula):
 def models(phi: Formula, sig: Signature) -> StateSet:
     """All states of the signature that satisfy the formula.
 
-    Evaluated with an explicit stack, so a formula of any depth is fine.
+    Each connective is one operation on masks, evaluated with an explicit
+    stack, so a formula of any depth is fine.
     """
-    full = universe(sig)
+    full = (1 << sig.num_states) - 1
     todo: list[tuple[Formula, bool]] = [(phi, False)]
-    done: list[StateSet] = []
+    done: list[int] = []
     while todo:
         f, ready = todo.pop()
         if isinstance(f, Atom):
             if f.name not in sig.fluents:
                 raise ValueError(f"unknown fluent {f.name!r} in formula")
-            k = sig.fluents.index(f.name)
-            done.append(frozenset(s for s in full if s >> k & 1))
+            done.append(sig._fluent_masks[sig.fluents.index(f.name)])
         elif isinstance(f, Not):
             if ready:
-                done.append(full - done.pop())
+                done.append(full ^ done.pop())
             else:
                 todo += ((f, True), (f.arg, False))
         elif isinstance(f, (And, Or, Implies, Iff)):
@@ -215,12 +240,12 @@ def models(phi: Formula, sig: Signature) -> StateSet:
             elif isinstance(f, Or):
                 done.append(left | right)
             elif isinstance(f, Implies):
-                done.append((full - left) | right)
+                done.append((full ^ left) | right)
             else:
-                done.append(full - (left ^ right))
+                done.append(full ^ left ^ right)
         else:
             raise TypeError(f"not a formula: {f!r}")
-    return done.pop()
+    return _members(done.pop())
 
 
 # ---------------------------------------------------------------------------

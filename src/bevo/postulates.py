@@ -20,6 +20,8 @@ from .kernel import (
     Signature,
     StateSet,
     TransitionSystem,
+    _mask,
+    _members,
     complete_transitions,
     format_state,
     format_state_set,
@@ -194,12 +196,8 @@ def suite_signature(n_fluents: int, with_action: bool = True) -> Signature:
 
 def state_sets(sig: Signature, include_empty: bool = True) -> tuple[StateSet, ...]:
     """Every subset of the state space, ordered by characteristic bitmask."""
-    n = sig.num_states
     first = 0 if include_empty else 1
-    return tuple(
-        frozenset(s for s in range(n) if mask >> s & 1)
-        for mask in range(first, 1 << n)
-    )
+    return tuple(map(_members, range(first, 1 << sig.num_states)))
 
 
 def single_action_systems(sig: Signature) -> Iterator[TransitionSystem]:
@@ -228,8 +226,7 @@ def _random_state_set(
     rng: random.Random, sig: Signature, nonempty: bool = False
 ) -> StateSet:
     lo = 1 if nonempty else 0
-    mask = rng.randrange(lo, 1 << sig.num_states)
-    return frozenset(s for s in range(sig.num_states) if mask >> s & 1)
+    return _members(rng.randrange(lo, 1 << sig.num_states))
 
 
 def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
@@ -522,11 +519,9 @@ def check_agm(assign: RankingAssignment, sig: Signature) -> SuiteReport:
     empty result; (iv) and (v) relate revision by an intersection to
     intersecting the revision, quantifying over a second observation.
     """
-    n = sig.num_states
-    size = 1 << n
-    full_mask = size - 1
+    size = 1 << sig.num_states
     sets = state_sets(sig)
-    comp = [full_mask ^ m for m in range(size)]
+    comp = [(size - 1) ^ m for m in range(size)]
     vios: list[Violation] = []
     pairs = 0
 
@@ -539,7 +534,7 @@ def check_agm(assign: RankingAssignment, sig: Signature) -> SuiteReport:
         kappa = sets[kmask]
         row = [0] * size
         for amask in range(size):
-            row[amask] = sum(1 << s for s in revise(kappa, sets[amask], assign))
+            row[amask] = _mask(revise(kappa, sets[amask], assign))
         for amask in range(size):
             pairs += 1
             ra = row[amask]

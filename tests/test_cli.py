@@ -359,6 +359,19 @@ def test_malformed_domain_reports_position(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_overlong_integer_is_a_located_error(capsys, tmp_path):
+    scenario = tmp_path / "long.bevs"
+    text = (DATA / "litmus-conflict.bevs").read_text()
+    weights = "reliability weights 1 " + "2" * 5000
+    scenario.write_text(text.replace("reliability constant", weights))
+    code, out, err = _run(
+        capsys, "evolve", "--domain", _DOMAIN, "--scenario", str(scenario)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"bevo: error: {scenario}: line 8, col 23: ")
+    assert "integer too long (5000 digits)" in err
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as e:
         main([])

@@ -117,6 +117,20 @@ def test_formula_round_trip(f):
     assert parse_formula(serialize_formula(f), _SIG) == f
 
 
+def test_serialize_formula_far_taller_than_the_parse_bound():
+    # At most 100 levels are open at once while parsing, but each pair of
+    # parentheses adds a whole chain to the height: trees about 2,500 deep.
+    chain = parse_formula("(" * 50 + "p" + (" & q" * 49 + ")") * 50, _SIG)
+    assert serialize_formula(chain) == "p" + " & q" * 2450
+    assert models(chain, _SIG) == models(parse_formula("p & q", _SIG), _SIG)
+    mixed = parse_formula("(" * 50 + "p" + (" & q" * 24 + " | r" * 24 + ")") * 50, _SIG)
+    text = serialize_formula(mixed)
+    assert text.startswith("(" * 49 + "p & q") and text.endswith(" | r")
+    again = parse_formula(text, _SIG)
+    assert serialize_formula(again) == text
+    assert models(again, _SIG) == models(mixed, _SIG)
+
+
 # ---------------------------------------------------------------------------
 # State sets.
 
@@ -340,6 +354,14 @@ def test_parse_scenario_weight_count_mismatch(dom):
     assert "2 weights for 1 observation steps" in e.value.message
 
 
+def test_parse_scenario_overlong_weight_is_located(dom):
+    text = _scenario("obs formula p\nreliability weights " + "1" * 5000 + "\n")
+    with pytest.raises(ParseError) as e:
+        parse_scenario(text, dom)
+    assert (e.value.line, e.value.col) == (4, len("reliability weights ") + 1)
+    assert "integer too long (5000 digits)" in e.value.message
+
+
 def test_parse_scenario_initial_may_not_be_empty(dom):
     with pytest.raises(ParseError) as e:
         parse_scenario("scenario s\ninitial states { }\nobs formula p\n", dom)
@@ -415,6 +437,14 @@ def test_parse_ranking_rejects_unfaithful():
         parse_ranking(text)
     assert e.value.line == 3
     assert "not faithful" in e.value.message
+
+
+def test_parse_ranking_overlong_rank_is_located():
+    text = "ranking r\nfluents p\nbase { {} }\nrank {}: 0\nrank {p}: " + "9" * 5000
+    with pytest.raises(ParseError) as e:
+        parse_ranking(text)
+    assert (e.value.line, e.value.col) == (5, len("rank {p}: ") + 1)
+    assert "integer too long" in e.value.message
 
 
 def test_parse_ranking_value_errors():

@@ -24,7 +24,6 @@ from bevo import (
     repairs,
     universe,
     update_seq,
-    weakenings,
 )
 
 from conftest import state_of
@@ -186,27 +185,6 @@ def test_evolve_skeptical_merges_repairs(conflict_view, litmus):
     merged = evolve_skeptical(kappa, conflict_view, litmus.ts, r=constant)
     both = frozenset((state_of(sig), state_of(sig, "Acid")))
     assert merged == (both, both, both)
-
-
-def test_weakenings_order_and_count(litmus):
-    sig = litmus.signature
-    full = universe(sig)
-    acid = _acid_states(sig)
-    red = _red_states(sig)
-    obs = (acid, full, red)
-    out = list(weakenings(obs, sig))
-    assert out == [
-        (acid, full, red),
-        (full, full, red),
-        (acid, full, full),
-        (full, full, full),
-    ]
-
-
-def test_weakenings_trivial_only(litmus):
-    sig = litmus.signature
-    full = universe(sig)
-    assert list(weakenings((full, full), sig)) == [(full, full)]
 
 
 def test_minimal_repair_candidates_consistent_view(litmus):
