@@ -8,11 +8,11 @@ arguments, files, and seed always produce byte-identical machine output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .kernel import (
     Signature,
@@ -28,23 +28,22 @@ from .evolution import evolve, evolve_skeptical, preimage, repairs
 from .dsl import (
     DomainDoc,
     ParseError,
-    RankingDoc,
-    ScenarioDoc,
+    machine_text,
     parse_domain,
     parse_formula,
     parse_ranking,
     parse_scenario,
     parse_state_set,
     ranking_assignment,
+    repair_line,
+    sequences_data,
     serialize_result,
 )
 from .postulates import lehmann_counterexample, run_suite
 
 _MAX_SHOWN_VIOLATIONS = 25
 
-
-class _CliError(ValueError):
-    """User-facing error; message already formatted."""
+_T = TypeVar("_T")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -132,47 +131,35 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise _CliError(f"{path}: {e.strerror or e}")
+        raise ValueError(f"{path}: {e.strerror or e}")
 
 
-def _load_domain(path: str) -> DomainDoc:
+def _load(parse: Callable[..., _T], path: str, *context: object) -> _T:
+    """Parse a file, its diagnostics prefixed with the path."""
     try:
-        return parse_domain(_read(path))
+        return parse(_read(path), *context)
     except ParseError as e:
-        raise _CliError(f"{path}: {e}")
-
-
-def _load_scenario(path: str, dom: DomainDoc) -> ScenarioDoc:
-    try:
-        return parse_scenario(_read(path), dom)
-    except ParseError as e:
-        raise _CliError(f"{path}: {e}")
-
-
-def _load_ranking(path: str) -> RankingDoc:
-    try:
-        return parse_ranking(_read(path))
-    except ParseError as e:
-        raise _CliError(f"{path}: {e}")
+        raise ValueError(f"{path}: {e}")
 
 
 def _resolve_ranking(
     selector: str, dom: DomainDoc | None
-) -> tuple[RankingAssignment, Signature | None]:
-    """Turn a --ranking value into an assignment plus a signature source."""
+) -> tuple[RankingAssignment, Signature]:
+    """Turn a --ranking value into an assignment plus the signature to read
+    states in: the domain's if there is one, else the ranking file's."""
     if selector == "dalal":
         if dom is None:
-            raise _CliError(
+            raise ValueError(
                 "a Hamming ranking needs --domain to supply the fluents"
             )
-        return dalal_assignment(dom.signature), None
-    doc = _load_ranking(selector)
+        return dalal_assignment(dom.signature), dom.signature
+    doc = _load(parse_ranking, selector)
     if dom is not None and doc.signature.fluents != dom.signature.fluents:
-        raise _CliError(
+        raise ValueError(
             f"ranking {selector}: fluents {list(doc.signature.fluents)} do not "
             f"match the domain's {list(dom.signature.fluents)}"
         )
-    return ranking_assignment(doc), doc.signature
+    return ranking_assignment(doc), (doc if dom is None else dom).signature
 
 
 def _parse_value_set(value: str, sig: Signature, what: str) -> StateSet:
@@ -182,19 +169,19 @@ def _parse_value_set(value: str, sig: Signature, what: str) -> StateSet:
             return parse_state_set(value, sig)
         return models(parse_formula(value, sig), sig)
     except ParseError as e:
-        raise _CliError(f"{what}: {e}")
+        raise ValueError(f"{what}: {e}")
 
 
 def _render_set(sig: Signature, states: StateSet, fmt: str) -> str:
     if fmt == "machine":
         doc = {"signature": signature_data(sig), "result": states_data(sig, states)}
-        return json.dumps(doc, indent=2) + "\n"
+        return machine_text(doc)
     return format_state_set(sig, states) + "\n"
 
 
 def _cmd_evolve(args: argparse.Namespace) -> tuple[str, int]:
-    dom = _load_domain(args.domain)
-    sc = _load_scenario(args.scenario, dom)
+    dom = _load(parse_domain, args.domain)
+    sc = _load(parse_scenario, args.scenario, dom)
     assign, _ = _resolve_ranking(args.ranking, dom)
     run = evolve_skeptical if sc.mode == "skeptical" else evolve
     res = run(sc.initial, sc.view, dom.ts, assign, sc.reliability_fn())
@@ -202,20 +189,15 @@ def _cmd_evolve(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_update(args: argparse.Namespace) -> tuple[str, int]:
-    dom = _load_domain(args.domain)
+    dom = _load(parse_domain, args.domain)
     belief = _parse_value_set(args.belief, dom.signature, "--belief")
-    for a in args.actions:
-        if a not in dom.signature.actions:
-            raise _CliError(f"unknown action {a!r}")
     out = update_seq(belief, tuple(args.actions), dom.ts)
     return _render_set(dom.signature, out, args.format), 0
 
 
 def _cmd_revise(args: argparse.Namespace) -> tuple[str, int]:
-    dom = _load_domain(args.domain) if args.domain else None
-    assign, rank_sig = _resolve_ranking(args.ranking, dom)
-    sig = dom.signature if dom is not None else rank_sig
-    assert sig is not None
+    dom = _load(parse_domain, args.domain) if args.domain else None
+    assign, sig = _resolve_ranking(args.ranking, dom)
     belief = _parse_value_set(args.belief, sig, "--belief")
     obs = _parse_value_set(args.obs, sig, "--obs")
     out = revise(belief, obs, assign)
@@ -223,38 +205,30 @@ def _cmd_revise(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_preimage(args: argparse.Namespace) -> tuple[str, int]:
-    dom = _load_domain(args.domain)
+    dom = _load(parse_domain, args.domain)
     obs = _parse_value_set(args.obs, dom.signature, "--obs")
-    for a in args.actions:
-        if a not in dom.signature.actions:
-            raise _CliError(f"unknown action {a!r}")
     out = preimage(obs, tuple(args.actions), dom.ts)
     return _render_set(dom.signature, out, args.format), 0
 
 
 def _cmd_repair(args: argparse.Namespace) -> tuple[str, int]:
-    dom = _load_domain(args.domain)
-    sc = _load_scenario(args.scenario, dom)
+    dom = _load(parse_domain, args.domain)
+    sc = _load(parse_scenario, args.scenario, dom)
     reps = repairs(sc.view, dom.ts, sc.reliability_fn())
     # A consistent view is its own one repair; any other repair discards.
     ok = reps == (sc.view.observations,)
+    sig = dom.signature
     if args.format == "machine":
         doc = {
             "scenario": sc.name,
-            "signature": signature_data(dom.signature),
+            "signature": signature_data(sig),
             "consistent": ok,
-            "repairs": [
-                [states_data(dom.signature, o) for o in obs] for obs in reps
-            ],
+            "repairs": sequences_data(sig, reps),
             "trajectories": None,
         }
-        return json.dumps(doc, indent=2) + "\n", 0
+        return machine_text(doc), 0
     lines = [f"consistent: {'yes' if ok else 'no'}"]
-    for i, obs in enumerate(reps, start=1):
-        lines.append(
-            f"repair {i}: "
-            + " ; ".join(format_state_set(dom.signature, o) for o in obs)
-        )
+    lines += (repair_line(sig, i, obs) for i, obs in enumerate(reps, start=1))
     return "\n".join(lines) + "\n", 0
 
 
@@ -267,17 +241,14 @@ def _resolve_seed(value: int | None) -> int:
     try:
         return int(env)
     except ValueError:
-        raise _CliError(f"BEVO_SEED is not an integer: {env!r}")
+        raise ValueError(f"BEVO_SEED is not an integer: {env!r}")
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
     seed = _resolve_seed(args.seed)
-    try:
-        report = run_suite(args.suite, args.fluents, args.samples, seed)
-    except ValueError as e:
-        raise _CliError(str(e))
+    report = run_suite(args.suite, args.fluents, args.samples, seed)
     if args.format == "machine":
-        out = json.dumps(report.to_data(), indent=2) + "\n"
+        out = machine_text(report.to_data())
     else:
         out = report.render_text(max_violations=_MAX_SHOWN_VIOLATIONS) + "\n"
     return out, (0 if report.passed else 2)
@@ -286,11 +257,11 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_counterexample(args: argparse.Namespace) -> tuple[str, int]:
     report = lehmann_counterexample()
     if set(report.failed) != {"L4", "L5", "L6"}:
-        raise _CliError(
+        raise ValueError(
             f"counterexample reproduction drifted: failed={report.failed}"
         )
     if args.format == "machine":
-        return json.dumps(report.to_data(), indent=2) + "\n", 0
+        return machine_text(report.to_data()), 0
     return report.render_text() + "\n", 0
 
 
@@ -309,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         out, code = _COMMANDS[args.command](args)
-    except (_CliError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"bevo: error: {e}", file=sys.stderr)
         return 1
     sys.stdout.write(out)

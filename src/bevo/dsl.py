@@ -3,11 +3,15 @@
 Three file kinds share one lexical style: one directive per line, ``#``
 comments, state literals listing the true fluents (``{Red,Acid}``; ``{}`` is
 the all-false state), and state-set literals wrapping those in another pair
-of braces.  Parsing never raises anything but ParseError on malformed input,
-and every ParseError carries a 1-based line and column.
+of braces.  Each file starts with ``KIND NAME`` (``_named``); ``_Cursor``
+reads the rest, one line at a time.  Parsing never raises anything but
+ParseError on malformed input, and every ParseError carries a 1-based line
+and column.
 
 Serialization is canonical: parsing a serialized document yields a
 structurally equal document, and equal documents serialize to equal bytes.
+``machine_text`` is the one writer of the JSON machine format, for results
+here and for every ``--format machine`` document of the CLI.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Iterator, Union
+from typing import Any, Callable, Container, Iterable, Iterator, Union
 
 from .kernel import (
     NULL_ACTION,
@@ -35,6 +39,7 @@ from .kernel import (
     make_signature,
     models,
     signature_data,
+    state_index,
     states_data,
     universe,
 )
@@ -90,10 +95,6 @@ class _Cursor:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, literal: str) -> bool:
         self.skip_ws()
         if self.text.startswith(literal, self.pos):
@@ -113,6 +114,44 @@ class _Cursor:
         while self.pos < len(self.text) and self.text[self.pos] in _WORD_CHARS:
             self.pos += 1
         return self.text[start : self.pos]
+
+    def items(self, read: Callable[[], Any]) -> tuple:
+        """Values ``read`` one after another up to the end of the line."""
+        got = []
+        while not self.at_end():
+            got.append(read())
+        return tuple(got)
+
+    def known(self, names: Container[str], kind: str) -> str:
+        """A name from ``names``; any other is an unknown ``kind``."""
+        name = self.word()
+        if name not in names:
+            self.pos -= len(name)
+            raise self.error(f"unknown {kind} {name!r}")
+        return name
+
+    def directive(self, header: str, seen: set[str], once: Container[str]) -> str:
+        """The line's directive; ``header`` and those in ``once`` may not repeat."""
+        key = self.word()
+        if key == header or key in seen:
+            raise self.error(f"duplicate {key!r} directive")
+        if key in once:
+            seen.add(key)
+        return key
+
+    def fluents(self) -> tuple[str, ...]:
+        """The names of a ``fluents`` directive: at least one."""
+        names = self.items(self.word)
+        if not names:
+            raise self.error("at least one fluent is required")
+        return names
+
+    def signature(self, fluents: tuple[str, ...], actions: tuple[str, ...]) -> Signature:
+        """``make_signature``, its errors located at the cursor."""
+        try:
+            return make_signature(fluents, actions)
+        except ValueError as e:
+            raise self.error(str(e))
 
     def integer(self) -> int:
         self.skip_ws()
@@ -141,13 +180,8 @@ class _Cursor:
         state = 0
         if not self.take("}"):
             while True:
-                name = self.word()
-                try:
-                    pos = sig.fluents.index(name)
-                except ValueError:
-                    self.pos -= len(name)
-                    raise self.error(f"unknown fluent {name!r}")
-                bit = 1 << pos
+                name = self.known(sig._bits, "fluent")
+                bit = sig._bits[name]
                 if state & bit:
                     self.pos -= len(name)
                     raise self.error(f"fluent {name!r} listed twice")
@@ -233,11 +267,7 @@ def _parse_unary(cur: _Cursor, sig: Signature) -> Formula:
         inner = _parse_formula(cur, sig)
         cur.expect(")")
     else:
-        name = cur.word()
-        if name not in sig.fluents:
-            cur.pos -= len(name)
-            raise cur.error(f"unknown fluent {name!r}")
-        return Atom(name)
+        return Atom(cur.known(sig._bits, "fluent"))
     cur.depth -= 1
     return inner
 
@@ -311,14 +341,18 @@ def _raw_lines(text: str) -> Iterator[tuple[int, str]]:
             yield i, raw
 
 
-def _lines(text: str) -> Iterator[_Cursor]:
-    """Non-blank lines with comments stripped, as positioned cursors."""
-    for i, raw in _raw_lines(text):
-        yield _Cursor(raw, i)
-
-
-def _directive(cur: _Cursor) -> str:
-    return cur.word()
+def _named(text: str, kind: str) -> tuple[str, Iterator[tuple[int, str]]]:
+    """The name on a file's first line, ``KIND NAME``, and the lines after."""
+    lines = _raw_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(f"empty {kind} file", 1, 1)
+    cur = _Cursor(first[1], first[0])
+    if cur.word() != kind:
+        raise cur.error(f"the first directive must be '{kind} NAME'")
+    name = cur.word()
+    cur.expect_end()
+    return name, lines
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +380,12 @@ _TRANSITION_LINE = re.compile(
 )
 
 
-def _literal_state(inner: str, bits: dict[str, int]) -> int:
+def _literal_state(inner: str, sig: Signature) -> int:
     """The state a literal's inner text names, or -1 if it names an
     unknown fluent or one fluent twice."""
     state = 0
     for name in inner.split(","):
-        bit = bits.get(name.strip(" \t"), 0)
+        bit = sig._bits.get(name.strip(" \t"), 0)
         if not bit or state & bit:
             return -1
         state |= bit
@@ -367,7 +401,7 @@ def parse_domain(text: str) -> DomainDoc:
     ``strict`` (demand an explicit transition for every state and action).
     Unlisted state/action pairs otherwise default to self-loops.
     """
-    name = None
+    name, lines = _named(text, "domain")
     fluents: tuple[str, ...] | None = None
     actions: tuple[str, ...] = ()
     triples: list[tuple[int, str, int]] = []
@@ -375,11 +409,11 @@ def parse_domain(text: str) -> DomainDoc:
     sig: Signature | None = None
     sources: set[tuple[str, int]] = set()
     duplicate: ParseError | None = None
-    # Per parse: fluent bits, and each distinct literal text decoded once.
-    bits: dict[str, int] = {}
+    seen: set[str] = set()
+    # Each distinct literal text, decoded once per parse.
     states: dict[str | None, int] = {None: 0}
 
-    for lineno, raw in _raw_lines(text):
+    for lineno, raw in lines:
         # Transition lines the pattern accepts skip the cursor; any other
         # line, malformed ones included, goes through the cursor grammar so
         # that every ParseError keeps its message and position.
@@ -388,44 +422,26 @@ def parse_domain(text: str) -> DomainDoc:
             act, src_text, dst_text = m.groups()
             src = states.get(src_text)
             if src is None:
-                src = states[src_text] = _literal_state(src_text, bits)
+                src = states[src_text] = _literal_state(src_text, sig)
             dst = states.get(dst_text)
             if dst is None:
-                dst = states[dst_text] = _literal_state(dst_text, bits)
+                dst = states[dst_text] = _literal_state(dst_text, sig)
             if src < 0 or dst < 0 or act == NULL_ACTION or act not in sig.actions:
                 m = None
         if m is None:
             cur = _Cursor(raw, lineno)
-            key = _directive(cur)
-            if key == "domain":
-                if name is not None:
-                    raise cur.error("duplicate 'domain' directive")
-                name = cur.word()
-                cur.expect_end()
-                continue
-            if name is None:
-                raise cur.error("the first directive must be 'domain NAME'")
+            key = cur.directive("domain", seen, ("fluents",))
             if key == "fluents":
-                if fluents is not None:
-                    raise cur.error("duplicate 'fluents' directive")
                 if triples:
                     raise cur.error("'fluents' must come before any transition")
-                got = []
-                while not cur.at_end():
-                    got.append(cur.word())
-                if not got:
-                    raise cur.error("at least one fluent is required")
-                fluents = tuple(got)
+                fluents = cur.fluents()
                 continue
             if key == "actions":
                 if actions:
                     raise cur.error("duplicate 'actions' directive")
                 if triples:
                     raise cur.error("'actions' must come before any transition")
-                got = []
-                while not cur.at_end():
-                    got.append(cur.word())
-                actions = tuple(got)
+                actions = cur.items(cur.word)
                 continue
             if key in flags:
                 cur.expect_end()
@@ -438,20 +454,13 @@ def parse_domain(text: str) -> DomainDoc:
             if fluents is None:
                 raise cur.error("'fluents' must come before any transition")
             if sig is None:
-                try:
-                    sig = make_signature(fluents, actions)
-                except ValueError as e:
-                    raise cur.error(str(e))
-                bits = {f: 1 << k for k, f in enumerate(sig.fluents)}
-            act = cur.word()
+                sig = cur.signature(fluents, actions)
+            act = cur.known(sig.actions, "action")
             if act == NULL_ACTION:
                 raise cur.error(
                     f"the {NULL_ACTION!r} action is implicit and cannot have "
                     "explicit transitions"
                 )
-            if act not in sig.actions:
-                cur.pos -= len(act)
-                raise cur.error(f"unknown action {act!r}")
             cur.expect(":")
             src = cur.state_literal(sig)
             cur.expect("->")
@@ -472,8 +481,6 @@ def parse_domain(text: str) -> DomainDoc:
             sources.add((act, src))
         triples.append((src, act, dst))
 
-    if name is None:
-        raise ParseError("empty domain file", 1, 1)
     if fluents is None:
         raise ParseError("missing 'fluents' directive", 1, 1)
     if sig is None:
@@ -570,41 +577,25 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
     """
     sig = dom.signature
     full = universe(sig)
-    name = None
+    name, lines = _named(text, "scenario")
     initial: StateSet | None = None
-    initial_line = 1
     # Steps as (action or None, observation or None) in file order.
     pending_act: str | None = None
     steps: list[tuple[str, StateSet, bool]] = []  # (action, obs, obs_is_user)
     reliability: str | None = None
     user_weights: tuple[int, ...] | None = None
     mode: str | None = None
+    seen: set[str] = set()
 
-    for cur in _lines(text):
-        key = _directive(cur)
-        if key == "scenario":
-            if name is not None:
-                raise cur.error("duplicate 'scenario' directive")
-            name = cur.word()
-            cur.expect_end()
-        elif name is None:
-            raise cur.error("the first directive must be 'scenario NAME'")
-        elif key == "initial":
-            if initial is not None:
-                raise cur.error("duplicate 'initial' directive")
-            initial_line = cur.line
+    for lineno, raw in lines:
+        cur = _Cursor(raw, lineno)
+        key = cur.directive("scenario", seen, ("initial", "reliability", "mode"))
+        if key == "initial":
             initial = _state_set_value(cur, sig)
             if not initial:
-                raise ParseError(
-                    "the initial belief state may not be empty",
-                    initial_line,
-                    1,
-                )
+                raise ParseError("the initial belief state may not be empty", cur.line, 1)
         elif key == "act":
-            act = cur.word()
-            if act not in sig.actions:
-                cur.pos -= len(act)
-                raise cur.error(f"unknown action {act!r}")
+            act = cur.known(sig.actions, "action")
             cur.expect_end()
             if pending_act is not None:
                 steps.append((pending_act, full, False))
@@ -613,25 +604,18 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
             steps.append((pending_act or NULL_ACTION, _state_set_value(cur, sig), True))
             pending_act = None
         elif key == "reliability":
-            if reliability is not None:
-                raise cur.error("duplicate 'reliability' directive")
             kind = cur.word()
             if kind in ("recency", "constant"):
                 reliability = kind
                 cur.expect_end()
             elif kind == "weights":
                 reliability = "weights"
-                got = []
-                while not cur.at_end():
-                    got.append(cur.integer())
-                if not got:
+                user_weights = cur.items(cur.integer)
+                if not user_weights:
                     raise cur.error("expected at least one weight")
-                user_weights = tuple(got)
             else:
                 raise cur.error("expected 'recency', 'constant', or 'weights'")
         elif key == "mode":
-            if mode is not None:
-                raise cur.error("duplicate 'mode' directive")
             kind = cur.word()
             if kind not in ("credulous", "skeptical"):
                 raise cur.error("expected 'credulous' or 'skeptical'")
@@ -640,8 +624,6 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
         else:
             raise cur.error(f"unknown directive {key!r}")
 
-    if name is None:
-        raise ParseError("empty scenario file", 1, 1)
     if initial is None:
         raise ParseError("missing 'initial' directive", 1, 1)
     if pending_act is not None:
@@ -653,8 +635,7 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
         tuple(a for a, _, _ in steps), tuple(o for _, o, _ in steps)
     )
     weights: tuple[int, ...] | None = None
-    if reliability == "weights":
-        assert user_weights is not None
+    if user_weights is not None:
         n_user = sum(1 for _, _, is_user in steps if is_user)
         if len(user_weights) != n_user:
             raise ParseError(
@@ -715,46 +696,27 @@ def parse_ranking(text: str) -> RankingDoc:
     The ranking must be faithful to its base: base states share the unique
     smallest rank.
     """
-    name = None
+    name, lines = _named(text, "ranking")
     sig: Signature | None = None
     base: StateSet | None = None
     base_line = 1
     ranks: dict[int, int] = {}
+    seen: set[str] = set()
 
-    for cur in _lines(text):
-        key = _directive(cur)
-        if key == "ranking":
-            if name is not None:
-                raise cur.error("duplicate 'ranking' directive")
-            name = cur.word()
-            cur.expect_end()
-        elif name is None:
-            raise cur.error("the first directive must be 'ranking NAME'")
-        elif key == "fluents":
-            if sig is not None:
-                raise cur.error("duplicate 'fluents' directive")
-            got = []
-            while not cur.at_end():
-                got.append(cur.word())
-            if not got:
-                raise cur.error("at least one fluent is required")
-            try:
-                sig = make_signature(got, ())
-            except ValueError as e:
-                raise cur.error(str(e))
+    for lineno, raw in lines:
+        cur = _Cursor(raw, lineno)
+        key = cur.directive("ranking", seen, ("fluents", "base"))
+        if sig is None and key in ("base", "rank"):
+            raise cur.error(f"'fluents' must come before {key!r}")
+        if key == "fluents":
+            sig = cur.signature(cur.fluents(), ())
         elif key == "base":
-            if sig is None:
-                raise cur.error("'fluents' must come before 'base'")
-            if base is not None:
-                raise cur.error("duplicate 'base' directive")
             base_line = cur.line
             base = cur.state_set_literal(sig)
             cur.expect_end()
             if not base:
                 raise ParseError("the base belief state may not be empty", base_line, 1)
         elif key == "rank":
-            if sig is None:
-                raise cur.error("'fluents' must come before 'rank'")
             state = cur.state_literal(sig)
             cur.expect(":")
             value = cur.integer()
@@ -769,8 +731,6 @@ def parse_ranking(text: str) -> RankingDoc:
         else:
             raise cur.error(f"unknown directive {key!r}")
 
-    if name is None:
-        raise ParseError("empty ranking file", 1, 1)
     if sig is None:
         raise ParseError("missing 'fluents' directive", 1, 1)
     if base is None:
@@ -851,13 +811,27 @@ def _json_list(value: object, field: str) -> list:
 def _states_from_data(sig: Signature, data: object, field: str) -> StateSet:
     out = set()
     for names in _json_list(data, field):
-        state = 0
-        for n in _json_list(names, field):
-            if n not in sig.fluents:
-                raise ValueError(f"result document: field {field} names unknown fluent {n!r}")
-            state |= 1 << sig.fluents.index(n)
-        out.add(state)
+        names = _json_list(names, field)
+        try:
+            out.add(state_index(sig, names))
+        except ValueError as e:
+            raise ValueError(f"result document: field {field} names {e}") from None
     return frozenset(out)
+
+
+def machine_text(doc: object) -> str:
+    """The machine form of a document: stable, indented JSON and a newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def sequences_data(sig: Signature, seqs: Iterable[Iterable[StateSet]]) -> list:
+    """Machine encoding of state-set sequences: repaired views, trajectories."""
+    return [[states_data(sig, k) for k in seq] for seq in seqs]
+
+
+def repair_line(sig: Signature, i: int, obs: Iterable[StateSet]) -> str:
+    """The text line for the i-th repaired view."""
+    return f"repair {i}: " + " ; ".join(format_state_set(sig, o) for o in obs)
 
 
 def result_to_data(
@@ -867,16 +841,12 @@ def result_to_data(
     doc: dict = {"scenario": scenario, "signature": signature_data(sig)}
     if isinstance(res, EvolutionResult):
         doc["consistent"] = res.was_consistent
-        doc["repairs"] = [
-            [states_data(sig, o) for o in obs] for obs in res.repaired_views
-        ]
-        doc["trajectories"] = [
-            [states_data(sig, k) for k in t] for t in res.trajectories
-        ]
+        doc["repairs"] = sequences_data(sig, res.repaired_views)
+        doc["trajectories"] = sequences_data(sig, res.trajectories)
     else:
         doc["consistent"] = None
         doc["repairs"] = None
-        doc["trajectories"] = [[states_data(sig, k) for k in res]]
+        doc["trajectories"] = sequences_data(sig, [res])
     return doc
 
 
@@ -890,27 +860,20 @@ def serialize_result(
     stable JSON document.
     """
     if fmt == "machine":
-        return json.dumps(result_to_data(res, sig, scenario), indent=2) + "\n"
+        return machine_text(result_to_data(res, sig, scenario))
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}")
     if isinstance(res, EvolutionResult):
-        blocks = []
-        for i, (obs, traj) in enumerate(
-            zip(res.repaired_views, res.trajectories), start=1
-        ):
-            lines = []
-            if not res.was_consistent:
-                lines.append(
-                    f"repair {i}: "
-                    + " ; ".join(format_state_set(sig, o) for o in obs)
-                )
-            lines.extend(
-                f"k{j} = {format_state_set(sig, k)}" for j, k in enumerate(traj)
-            )
-            blocks.append("\n".join(lines))
-        return "\n\n".join(blocks) + "\n"
-    lines = [f"k{j} = {format_state_set(sig, k)}" for j, k in enumerate(res)]
-    return "\n".join(lines) + "\n"
+        repaired = not res.was_consistent
+        pairs = zip(res.repaired_views, res.trajectories)
+    else:  # a plain trajectory is one block that no repair produced
+        repaired, pairs = False, zip([()], [res])
+    blocks = []
+    for i, (obs, traj) in enumerate(pairs, start=1):
+        lines = [repair_line(sig, i, obs)] if repaired else []
+        lines += (f"k{j} = {format_state_set(sig, k)}" for j, k in enumerate(traj))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def result_from_json(text: str) -> tuple[Signature, ResultLike]:

@@ -6,11 +6,14 @@ canonical index: bit k of the index gives the value of the k-th declared
 fluent.  Public functions take and return state sets as frozensets of these
 indices; inside the package a state set may also be a mask, an int with bit
 s set for each member s, which only ``_mask`` and ``_members`` convert.
-Other helpers convert between indices, fluent sets, and display strings.
+Fluent names become a state through one table, ``Signature._bits``, which
+``state_index`` and every reader in ``dsl`` share.  Other helpers convert
+between indices, fluent sets, and display strings.
 
 Transition systems are total by construction: every (state, action) pair has
 at least one successor.  The reserved action "noop" always behaves as the
-identity and cannot be redefined.
+identity and cannot be redefined.  The system is the one place that rejects
+an unknown action.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ class Signature:
     @cached_property
     def num_states(self) -> int:
         return 1 << len(self.fluents)
+
+    @cached_property
+    def _bits(self) -> dict[str, int]:
+        """Each fluent's bit in a state index: the one name-to-state table."""
+        return {f: 1 << k for k, f in enumerate(self.fluents)}
 
     @cached_property
     def _universe(self) -> StateSet:
@@ -117,8 +125,8 @@ def state_index(sig: Signature, true_fluents: Iterable[str]) -> int:
     s = 0
     for name in true_fluents:
         try:
-            s |= 1 << sig.fluents.index(name)
-        except ValueError:
+            s |= sig._bits[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValueError(f"unknown fluent {name!r}") from None
     return s
 
@@ -169,40 +177,60 @@ def signature_data(sig: Signature) -> dict:
 
 
 class Formula:
-    """Base class for formula AST nodes."""
+    """Base class for formula AST nodes.  Equality and hashing walk a tree
+    with an explicit stack, so a formula of any height is fine."""
 
     __slots__ = ()
 
+    def _prefix(self) -> list:
+        """Each node's class, or an atom's name, in prefix order."""
+        out: list = []
+        todo: list[Formula] = [self]
+        while todo:
+            f = todo.pop()
+            if isinstance(f, Atom):
+                out.append(f.name)
+            else:
+                out.append(type(f))
+                todo += reversed(vars(f).values())  # the operands, last first
+        return out
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Formula) and self._prefix() == other._prefix()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._prefix()))
+
+
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
@@ -331,12 +359,16 @@ class TransitionSystem:
     def deterministic(self) -> bool:
         return self._succ_fun is not None
 
-    def successors(self, state: int, action: str) -> StateSet:
-        """All states reachable from ``state`` by one step of ``action``."""
+    def _successor_sets(self, action: str) -> tuple[StateSet, ...]:
+        """The successor table of an action, indexed by state."""
         try:
-            rows = self._succ_sets[action]
+            return self._succ_sets[action]
         except KeyError:
             raise ValueError(f"unknown action {action!r}") from None
+
+    def successors(self, state: int, action: str) -> StateSet:
+        """All states reachable from ``state`` by one step of ``action``."""
+        rows = self._successor_sets(action)
         if not 0 <= state < self.signature.num_states:
             raise ValueError(f"state index {state} out of range")
         return rows[state]

@@ -16,10 +16,13 @@ ActionTrajectory = Sequence[str]
 
 
 def update(kappa: Iterable[int], action: str, ts: TransitionSystem) -> StateSet:
-    """One-step update: the image of ``kappa`` under ``action``."""
+    """One-step update: the image of ``kappa`` under a known ``action``."""
+    rows = ts._successor_sets(action)
     out: set[int] = set()
     for s in kappa:
-        out |= ts.successors(s, action)
+        if not 0 <= s < len(rows):
+            raise ValueError(f"state index {s} out of range")
+        out |= rows[s]
     return frozenset(out)
 
 

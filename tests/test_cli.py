@@ -121,6 +121,29 @@ def test_update_unknown_action(capsys):
     assert "pour" in err
 
 
+def test_update_unknown_action_on_an_empty_belief(capsys):
+    code, out, err = _run(
+        capsys,
+        "update", "--domain", _DOMAIN, "--belief", "{ }", "--actions", "dip", "pour",
+    )
+    assert (code, out, err) == (1, "", "bevo: error: unknown action 'pour'\n")
+
+
+def test_preimage_reports_nondeterminism_before_unknown_actions(capsys, tmp_path):
+    nondet = tmp_path / "nondet.bevd"
+    nondet.write_text(
+        "domain n\nfluents p\nactions a\n"
+        "transition a: {} -> {p}\ntransition a: {} -> {}\n"
+    )
+    code, out, err = _run(
+        capsys, "preimage", "--domain", str(nondet), "--obs", "p", "--actions", "pour",
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "bevo: error: this operation requires a deterministic transition system\n"
+    )
+
+
 def test_revise_dalal_golden(capsys):
     code, out, _ = _run(
         capsys,

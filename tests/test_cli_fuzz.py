@@ -2,12 +2,15 @@
 
 Every run of ``cli.main`` must end in exit 0, 1 or 2 (an argparse
 ``SystemExit`` counts as its code), print nothing to stdout unless it
-succeeded, and let no other exception escape.  ``check`` is left out: its
-``--samples`` leaves its runtime unbounded.
+succeeded, and let no other exception escape.  A diagnostic on exit 1 must
+be located (``line N, col M``) unless it is one of the position-less errors
+in ``_UNLOCATED``.  ``check`` is left out: its ``--samples`` leaves its
+runtime unbounded.
 """
 
 import contextlib
 import io
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -97,6 +100,18 @@ def _argv(draw) -> list[str]:
     return argv + draw(st.sampled_from([[]] * 17 + [["--bogus"], ["--format"], ["-h"]]))
 
 
+_LOCATED = re.compile(r"^bevo: error: \S+: line \d+, col \d+: ")
+# Errors about the run rather than about a place in a file or value.
+_UNLOCATED = (
+    "No such file or directory",  # --domain missing.bevd
+    "a Hamming ranking needs --domain to supply the fluents",
+    "is only faithful to its own base belief state",  # .bevr base != --belief
+    "cannot revise an empty belief state",  # revise --belief "{ }"
+    "unknown action 'b'",  # --actions b: the domain declares only a
+    "this operation requires a deterministic transition system",
+)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -109,12 +124,16 @@ def test_main_exits_cleanly_on_any_input(workdir, domain, scenario, ranking, arg
         (workdir / name).write_text(text, encoding="utf-8")
     paths = {"d.bevd", "missing.bevd", "s.bevs", "r.bevr"}
     argv = [str(workdir / a) if a in paths else a for a in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    usage = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as e:
-            code = e.code or 0
+            code, usage = e.code or 0, True
     assert code in (0, 1, 2)
     if code != 0:
         assert out.getvalue() == ""
+    if code == 1 and not usage:
+        message = err.getvalue()
+        assert _LOCATED.match(message) or any(u in message for u in _UNLOCATED), message

@@ -131,6 +131,15 @@ def test_serialize_formula_far_taller_than_the_parse_bound():
     assert models(again, _SIG) == models(mixed, _SIG)
 
 
+def test_formula_equality_and_hash_far_taller_than_the_parse_bound():
+    text = "(" * 50 + "p" + (" & q" * 49 + ")") * 50
+    chain, twin = parse_formula(text, _SIG), parse_formula(text, _SIG)
+    assert chain == twin and chain is not twin
+    assert hash(chain) == hash(twin)
+    assert {chain} == {twin}
+    assert chain != parse_formula(text.replace("q)", "r)", 1), _SIG)
+
+
 # ---------------------------------------------------------------------------
 # State sets.
 

@@ -39,6 +39,23 @@ def test_update_empty_belief(litmus):
     assert update(frozenset(), "dip", litmus.ts) == frozenset()
 
 
+@pytest.mark.parametrize("kappa", [frozenset(), frozenset((0, 5))], ids=["empty", "two"])
+def test_update_rejects_unknown_action_for_any_belief(litmus, kappa):
+    with pytest.raises(ValueError, match=r"^unknown action 'pour'$"):
+        update(kappa, "pour", litmus.ts)
+    with pytest.raises(ValueError, match=r"^unknown action 'pour'$"):
+        update_seq(kappa, ("dip", "pour"), litmus.ts)
+
+
+@pytest.mark.parametrize("bad", [8, -1])
+def test_update_rejects_out_of_range_states(litmus, bad):
+    message = rf"^state index {bad} out of range$"
+    with pytest.raises(ValueError, match=message):
+        update(frozenset((0, bad)), "dip", litmus.ts)
+    with pytest.raises(ValueError, match=message):
+        update_seq(frozenset((bad,)), ("dip",), litmus.ts)
+
+
 def test_update_noop_is_identity(litmus):
     kappa = frozenset((0, 3, 5))
     assert update(kappa, NULL_ACTION, litmus.ts) == kappa
