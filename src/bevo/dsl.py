@@ -3,10 +3,11 @@
 Three file kinds share one lexical style: one directive per line, ``#``
 comments, state literals listing the true fluents (``{Red,Acid}``; ``{}`` is
 the all-false state), and state-set literals wrapping those in another pair
-of braces.  Each file starts with ``KIND NAME`` (``_named``); ``_Cursor``
-reads the rest, one line at a time.  Parsing never raises anything but
-ParseError on malformed input, and every ParseError carries a 1-based line
-and column.
+of braces.  Names follow the kernel's one rule, ``kernel._NAME``.  Each file
+starts with ``KIND NAME`` (``_named``); ``_Cursor`` reads the rest, one line
+at a time, and checks a domain's ``fluents`` and ``actions`` lines as it
+reads them.  Parsing never raises anything but ParseError on malformed
+input, and every ParseError carries a 1-based line and column.
 
 Serialization is canonical: parsing a serialized document yields a
 structurally equal document, and equal documents serialize to equal bytes.
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Container, Iterable, Iterator, Union
 
 from .kernel import (
+    _NAME,
     NULL_ACTION,
     And,
     Atom,
@@ -65,10 +67,6 @@ class ParseError(ValueError):
         self.col = col
 
 
-_WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_WORD_CHARS = _WORD_START | set("0123456789")
-
-
 class _Cursor:
     """Position tracker over one source line."""
 
@@ -107,13 +105,13 @@ class _Cursor:
             raise self.error(f"expected {literal!r}")
 
     def word(self) -> str:
+        """A name, by the kernel's one name rule."""
         self.skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text) or self.text[self.pos] not in _WORD_START:
+        m = _NAME.match(self.text, self.pos)
+        if m is None:
             raise self.error("expected a name")
-        while self.pos < len(self.text) and self.text[self.pos] in _WORD_CHARS:
-            self.pos += 1
-        return self.text[start : self.pos]
+        self.pos = m.end()
+        return m.group()
 
     def items(self, read: Callable[[], Any]) -> tuple:
         """Values ``read`` one after another up to the end of the line."""
@@ -159,7 +157,7 @@ class _Cursor:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == digits:
             self.pos = start
@@ -373,10 +371,10 @@ class DomainDoc:
 # One well-formed ``transition ACT: {F,...} -> {F,...}`` line, in exactly
 # the grammar _Cursor accepts: spaces and tabs only, ASCII names.  The groups
 # are the action and the inner text of each state literal (None for ``{}``).
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_LITERAL = rf"\{{[ \t]*(?:({_NAME}(?:[ \t]*,[ \t]*{_NAME})*)[ \t]*)?\}}"
+_N = _NAME.pattern
+_LITERAL = rf"\{{[ \t]*(?:({_N}(?:[ \t]*,[ \t]*{_N})*)[ \t]*)?\}}"
 _TRANSITION_LINE = re.compile(
-    rf"[ \t]*transition[ \t]+({_NAME})[ \t]*:[ \t]*{_LITERAL}[ \t]*->[ \t]*{_LITERAL}[ \t]*"
+    rf"[ \t]*transition[ \t]+({_N})[ \t]*:[ \t]*{_LITERAL}[ \t]*->[ \t]*{_LITERAL}[ \t]*"
 )
 
 
@@ -402,11 +400,10 @@ def parse_domain(text: str) -> DomainDoc:
     Unlisted state/action pairs otherwise default to self-loops.
     """
     name, lines = _named(text, "domain")
-    fluents: tuple[str, ...] | None = None
-    actions: tuple[str, ...] = ()
+    header: dict[str, tuple[str, ...]] = {"fluents": (), "actions": ()}
     triples: list[tuple[int, str, int]] = []
     flags = {"deterministic": False, "strict": False}
-    sig: Signature | None = None
+    sig: Signature | None = None  # set once the fluents are known
     sources: set[tuple[str, int]] = set()
     duplicate: ParseError | None = None
     seen: set[str] = set()
@@ -430,31 +427,23 @@ def parse_domain(text: str) -> DomainDoc:
                 m = None
         if m is None:
             cur = _Cursor(raw, lineno)
-            key = cur.directive("domain", seen, ("fluents",))
-            if key == "fluents":
-                if triples:
-                    raise cur.error("'fluents' must come before any transition")
-                fluents = cur.fluents()
-                continue
-            if key == "actions":
-                if actions:
-                    raise cur.error("duplicate 'actions' directive")
-                if triples:
-                    raise cur.error("'actions' must come before any transition")
-                actions = cur.items(cur.word)
+            key = cur.directive("domain", seen, (*header, *flags))
+            # A transition names a declared action, so both header lines,
+            # once-only, come before any transition.
+            if key in header:
+                header[key] = cur.fluents() if key == "fluents" else cur.items(cur.word)
+                # Checked on each header line, so an error points at its line.
+                checked = cur.signature(header["fluents"], header["actions"])
+                sig = checked if "fluents" in seen else None
                 continue
             if key in flags:
                 cur.expect_end()
-                if flags[key]:
-                    raise cur.error(f"duplicate {key!r} pragma")
                 flags[key] = True
                 continue
             if key != "transition":
                 raise cur.error(f"unknown directive {key!r}")
-            if fluents is None:
-                raise cur.error("'fluents' must come before any transition")
             if sig is None:
-                sig = cur.signature(fluents, actions)
+                raise cur.error("'fluents' must come before any transition")
             act = cur.known(sig.actions, "action")
             if act == NULL_ACTION:
                 raise cur.error(
@@ -481,10 +470,8 @@ def parse_domain(text: str) -> DomainDoc:
             sources.add((act, src))
         triples.append((src, act, dst))
 
-    if fluents is None:
-        raise ParseError("missing 'fluents' directive", 1, 1)
     if sig is None:
-        sig = make_signature(fluents, actions)
+        raise ParseError("missing 'fluents' directive", 1, 1)
     if flags["deterministic"] and duplicate is not None:
         raise duplicate
     if flags["strict"]:

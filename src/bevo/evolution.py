@@ -39,6 +39,7 @@ from .kernel import (
     TransitionSystem,
     _mask,
     _members,
+    _require_deterministic,
     complete_transitions,
     universe,
 )
@@ -103,13 +104,6 @@ def fixed_weights(weights: Iterable[int]) -> ReliabilityFunction:
         return fixed
 
     return fn
-
-
-def _require_deterministic(ts: TransitionSystem) -> None:
-    if not ts.deterministic:
-        raise ValueError(
-            "this operation requires a deterministic transition system"
-        )
 
 
 def _runs(actions: ActionTrajectory, ts: TransitionSystem) -> Iterator[Sequence[int]]:

@@ -10,14 +10,21 @@ Fluent names become a state through one table, ``Signature._bits``, which
 ``state_index`` and every reader in ``dsl`` share.  Other helpers convert
 between indices, fluent sets, and display strings.
 
+A fluent or action name matches ``_NAME``, the one name rule that
+``make_signature`` and every reader and writer in ``dsl`` share, so any
+signature the library accepts can be written out and read back.
+
 Transition systems are total by construction: every (state, action) pair has
 at least one successor.  The reserved action "noop" always behaves as the
 identity and cannot be redefined.  The system is the one place that rejects
-an unknown action.
+an unknown action (``successors``, ``successor_map``) and, through
+``_listed_rows``, a bad transition triple.  ``_require_deterministic`` states
+when an operation needs a deterministic system.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -28,6 +35,10 @@ NULL_ACTION = "noop"
 MAX_FLUENTS = 16
 
 StateSet = frozenset[int]
+
+# A fluent or action name: ASCII letters, digits and underscores, not
+# starting with a digit.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -78,12 +89,12 @@ class Signature:
 def _check_name(name: str, kind: str) -> None:
     if not isinstance(name, str) or not name:
         raise ValueError(f"{kind} name must be a non-empty string: {name!r}")
-    if any(c.isspace() for c in name):
-        raise ValueError(f"{kind} name may not contain whitespace: {name!r}")
+    if not _NAME.fullmatch(name):
+        raise ValueError(f"{kind} name must match {_NAME.pattern}: {name!r}")
 
 
 def make_signature(fluents: Iterable[str], actions: Iterable[str] = ()) -> Signature:
-    """Build a signature, appending the reserved noop action if absent."""
+    """Build a signature whose actions end with the reserved noop action."""
     flu = tuple(fluents)
     act = tuple(actions)
     if len(flu) > MAX_FLUENTS:
@@ -96,8 +107,8 @@ def make_signature(fluents: Iterable[str], actions: Iterable[str] = ()) -> Signa
         raise ValueError("duplicate fluent names")
     if len(set(act)) != len(act):
         raise ValueError("duplicate action names")
-    if NULL_ACTION not in act:
-        act = act + (NULL_ACTION,)
+    # The file formats leave noop implicit, so it always comes last.
+    act = tuple(a for a in act if a != NULL_ACTION) + (NULL_ACTION,)
     return Signature(flu, act)
 
 
@@ -298,39 +309,15 @@ class TransitionSystem:
     def __init__(
         self, signature: Signature, relation: Iterable[tuple[int, str, int]]
     ) -> None:
-        n = signature.num_states
-        raw: dict[str, list[set[int]]] = {
-            a: [set() for _ in range(n)] for a in signature.actions
-        }
-        for src, act, dst in relation:
-            if act not in raw:
-                raise ValueError(f"unknown action {act!r} in transition")
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"transition ({src}, {act!r}, {dst}) out of range")
-            if act == NULL_ACTION and src != dst:
-                raise ValueError(
-                    f"the {NULL_ACTION} action must be the identity, got ({src}, {dst})"
-                )
-            raw[act][src].add(dst)
-        for a, rows in raw.items():
-            for src, row in enumerate(rows):
-                if not row:
+        listed = _listed_rows(signature, relation)
+        for a in signature.actions:
+            for src in range(signature.num_states):
+                if (a, src) not in listed:
                     raise ValueError(
                         f"no successor for state {src} under action {a!r}; "
                         "use complete_transitions to fill in self-loops"
                     )
-        self._set_tables(
-            signature, {a: tuple(map(frozenset, rows)) for a, rows in raw.items()}
-        )
-
-    @classmethod
-    def _from_tables(
-        cls, signature: Signature, succ_sets: dict[str, tuple[StateSet, ...]]
-    ) -> TransitionSystem:
-        """A system from total, already validated successor tables."""
-        ts = cls.__new__(cls)
-        ts._set_tables(signature, succ_sets)
-        return ts
+        self._set_tables(signature, _tables(signature, listed))
 
     def _set_tables(
         self, signature: Signature, succ_sets: dict[str, tuple[StateSet, ...]]
@@ -375,12 +362,47 @@ class TransitionSystem:
 
     def successor_map(self, action: str) -> tuple[int, ...]:
         """The one-step successor function of an action; deterministic only."""
-        if self._succ_fun is None:
-            raise ValueError("transition system is not deterministic")
+        _require_deterministic(self)
         try:
             return self._succ_fun[action]
         except KeyError:
             raise ValueError(f"unknown action {action!r}") from None
+
+
+def _require_deterministic(ts: TransitionSystem) -> None:
+    """Reject a nondeterministic system: the one statement of the rule."""
+    if ts._succ_fun is None:
+        raise ValueError("this operation requires a deterministic transition system")
+
+
+def _listed_rows(
+    sig: Signature, triples: Iterable[tuple[int, str, int]]
+) -> dict[tuple[str, int], set[int]]:
+    """The successors each (action, source) pair lists, every triple checked."""
+    n = sig.num_states
+    listed: dict[tuple[str, int], set[int]] = {}
+    for src, act, dst in triples:
+        if act not in sig.actions:
+            raise ValueError(f"unknown action {act!r} in transition")
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"transition ({src}, {act!r}, {dst}) out of range")
+        if act == NULL_ACTION and src != dst:
+            raise ValueError(
+                f"the {NULL_ACTION} action must be the identity, got ({src}, {dst})"
+            )
+        listed.setdefault((act, src), set()).add(dst)
+    return listed
+
+
+def _tables(
+    sig: Signature, listed: dict[tuple[str, int], set[int]]
+) -> dict[str, tuple[StateSet, ...]]:
+    """Per action, the successor table: the listed rows, self-loops elsewhere."""
+    loops = tuple(frozenset((s,)) for s in range(sig.num_states))
+    tables = {a: list(loops) for a in sig.actions}
+    for (act, src), row in listed.items():
+        tables[act][src] = frozenset(row)
+    return {a: tuple(t) for a, t in tables.items()}
 
 
 def complete_transitions(
@@ -392,24 +414,6 @@ def complete_transitions(
     and identity rows for the noop action are always added.  Explicit noop
     triples are rejected unless they are identity loops.
     """
-    n = sig.num_states
-    listed: dict[tuple[str, int], set[int]] = {}
-    for src, act, dst in triples:
-        if act == NULL_ACTION and src != dst:
-            raise ValueError(
-                f"explicit non-identity {NULL_ACTION} transition ({src} -> {dst})"
-            )
-        if act not in sig.actions:
-            raise ValueError(f"unknown action {act!r} in transition")
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"transition ({src}, {act!r}, {dst}) out of range")
-        row = listed.get((act, src))
-        if row is None:
-            listed[act, src] = {dst}
-        else:
-            row.add(dst)
-    loops = tuple(frozenset((s,)) for s in range(n))
-    tables = {a: list(loops) for a in sig.actions}
-    for (act, src), row in listed.items():
-        tables[act][src] = frozenset(row)
-    return TransitionSystem._from_tables(sig, {a: tuple(t) for a, t in tables.items()})
+    ts = TransitionSystem.__new__(TransitionSystem)
+    ts._set_tables(sig, _tables(sig, _listed_rows(sig, triples)))
+    return ts

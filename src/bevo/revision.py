@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .kernel import Signature, StateSet, TransitionSystem
+from .kernel import Signature, StateSet, TransitionSystem, _require_deterministic
 from .update import update
 
 
@@ -123,8 +123,6 @@ def shift_ranking(
     ranking: FaithfulRanking, action: str, ts: TransitionSystem
 ) -> ShiftedRanking:
     """Push a ranking forward through an action of a deterministic system."""
-    if not ts.deterministic:
-        raise ValueError("shifting a ranking requires a deterministic system")
     succ = ts.successor_map(action)
     shifted: dict[int, int] = {}
     for src, rank in enumerate(ranking.ranks):
@@ -147,8 +145,7 @@ def combined_change(
     result is the most plausible part of ``alpha`` under the shifted ranking.
     Otherwise the observation is dropped and the result is plain update.
     """
-    if not ts.deterministic:
-        raise ValueError("combined change requires a deterministic system")
+    _require_deterministic(ts)
     if not kappa:
         raise ValueError("cannot change an empty belief state")
     if assign is None:

@@ -1,5 +1,6 @@
 """Shared fixtures: the two bundled litmus domains and small helpers."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,12 @@ import pytest
 from bevo import make_signature, complete_transitions, parse_domain
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+
+# pyproject's pytest ``pythonpath`` reaches this process only; the
+# interpreters some CLI tests start import bevo from the same checkout.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(DATA.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def state_of(sig, *names):

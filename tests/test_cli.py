@@ -382,6 +382,14 @@ def test_malformed_domain_reports_position(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_repeated_fluent_is_a_located_error(capsys, tmp_path):
+    bad = tmp_path / "d.bevd"
+    bad.write_text("domain d\nfluents p p\n")
+    code, out, err = _run(capsys, "update", "--domain", str(bad), "--belief", "{ {} }")
+    assert (code, out) == (1, "")
+    assert err == f"bevo: error: {bad}: line 2, col 12: duplicate fluent names\n"
+
+
 def test_overlong_integer_is_a_located_error(capsys, tmp_path):
     scenario = tmp_path / "long.bevs"
     text = (DATA / "litmus-conflict.bevs").read_text()

@@ -33,8 +33,9 @@ _token_line = st.lists(st.sampled_from(_WORDS + _SYMBOLS), max_size=8).map(" ".j
 _raw_line = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
 
 
-def _document(header: str, good_lines: list[str]):
-    """A file: mostly a valid header and lines, maybe one of tokens or raw text.
+def _document(header: st.SearchStrategy[str], good_lines: list[str]):
+    """A file: mostly a header from ``header`` and valid lines, maybe one of
+    tokens or raw text.
 
     ``{n}`` in a good line stands for an integer literal.
     """
@@ -43,9 +44,10 @@ def _document(header: str, good_lines: list[str]):
     )
     junk = st.lists(st.one_of(_token_line, _raw_line), max_size=1)
     return st.builds(
-        lambda keep, body, extra, at: (header if keep else "")
+        lambda head, keep, body, extra, at: (head if keep else "")
         + "\n".join(body[:at] + extra + body[at:])
         + "\n",
+        header,
         st.sampled_from([True, True, True, False]),
         st.lists(good, max_size=6),
         junk,
@@ -53,15 +55,28 @@ def _document(header: str, good_lines: list[str]):
     )
 
 
+# Mostly a valid header; otherwise one that breaks a header rule.  An empty
+# 'actions' line is always followed by another, since a domain without the
+# action a would turn '--actions a' into an unlocated error.
+_domain_headers = st.sampled_from(
+    ["domain d\nfluents p q\nactions a\n"] * 10
+    + [
+        "domain d\nfluents p p\nactions a\n",
+        "domain d\nfluents p q\nactions\nactions a\n",
+        "domain d\nfluents p q\nactions a\nactions a\n",
+        "domain d\nfluents p q\nactions a a\n",
+        "domain d\nfluents p q-r\nactions a\n",
+    ]
+)
 _domains = _document(
-    "domain d\nfluents p q\nactions a\n",
+    _domain_headers,
     [
         "transition a: {{}} -> {{p}}", "transition a: {{p}} -> {{q}}",
         "transition a: {{p}} -> {{p,q}}", "deterministic", "strict", "# note",
     ],
 )
 _scenarios = _document(
-    "scenario s\ninitial states { {} }\n",
+    st.just("scenario s\ninitial states { {} }\n"),
     [
         "act a", "act noop", "obs formula p", "obs formula !p & q",
         "obs states {{ {{q}} }}", "initial formula p | q", "reliability constant",
@@ -69,7 +84,7 @@ _scenarios = _document(
     ],
 )
 _rankings = _document(
-    "ranking r\nfluents p q\nbase { {} }\n",
+    st.just("ranking r\nfluents p q\nbase { {} }\n"),
     ["rank {{}}: 0", "rank {{p}}: 1", "rank {{q}}: {n}", "rank {{p,q}}: 2"],
 )
 _values = st.one_of(

@@ -28,8 +28,8 @@ from bevo import dsl
 from bevo.dsl import DomainDoc
 
 _SIG = make_signature(("f0", "f1", "f2"), ("a", "b"))
-# The first transition line goes through the cursor in both parsers (it fixes
-# the signature); the line under test comes after it.
+# Both parsers read the header's transition line; the line under test comes
+# after it.
 _HEADER = "domain d\nfluents f0 f1 f2\nactions a b\ntransition a: {} -> {f0}\n"
 _HEADER_LINES = 3
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from bevo import (
     And,
     Atom,
+    DomainDoc,
     EvolutionResult,
     Iff,
     Implies,
@@ -14,6 +15,7 @@ from bevo import (
     Or,
     ParseError,
     WorldView,
+    complete_transitions,
     evolve,
     make_signature,
     models,
@@ -224,6 +226,63 @@ def test_parse_domain_duplicate_directives():
         parse_domain("domain d\nfluents p\nfluents q\n")
     with pytest.raises(ParseError):
         parse_domain("domain d\nfluents p\nactions a\nactions b\n")
+    # An empty 'actions' line is the directive too, and pragmas are directives.
+    with pytest.raises(ParseError) as e:
+        parse_domain("domain d\nfluents p\nactions\nactions a\n")
+    assert (e.value.message, e.value.line, e.value.col) == (
+        "duplicate 'actions' directive", 4, len("actions") + 1
+    )
+    with pytest.raises(ParseError) as e:
+        parse_domain("domain d\nfluents p\nstrict\ndeterministic\nstrict\n")
+    assert (e.value.message, e.value.line) == ("duplicate 'strict' directive", 5)
+
+
+@pytest.mark.parametrize("tail", ["", "actions a\ntransition a: {} -> {p}\n"])
+def test_parse_domain_locates_a_repeated_fluent_on_its_line(tail):
+    with pytest.raises(ParseError) as e:
+        parse_domain("domain d\nfluents p p\n" + tail)
+    assert (e.value.message, e.value.line) == ("duplicate fluent names", 2)
+
+
+@pytest.mark.parametrize("order", ["fluents p\nactions a a\n", "actions a a\nfluents p\n"])
+def test_parse_domain_locates_a_repeated_action_on_its_line(order):
+    text = "domain d\n" + order
+    with pytest.raises(ParseError) as e:
+        parse_domain(text)
+    assert e.value.message == "duplicate action names"
+    assert e.value.line == text.splitlines().index("actions a a") + 1
+
+
+def test_parse_domain_locates_too_many_fluents():
+    line = "fluents " + " ".join(f"f{i}" for i in range(17))
+    with pytest.raises(ParseError) as e:
+        parse_domain(f"domain d\n{line}\nactions a\n")
+    assert (e.value.message, e.value.line) == ("too many fluents (17); the cap is 16", 2)
+
+
+_names = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+    st.sampled_from(["noop", "a-b", "go!", "caf\u00e9", "x y", "9"]),
+)
+
+
+# A file names at least one fluent, so a signature without fluents has no
+# file form; every other signature make_signature accepts has one.
+@given(
+    fluents=st.lists(_names, min_size=1, max_size=3),
+    actions=st.lists(_names, max_size=3),
+    triples=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 7))),
+)
+def test_every_accepted_signature_round_trips(fluents, actions, triples):
+    try:
+        sig = make_signature(fluents, actions)
+    except ValueError:
+        return
+    user = [a for a in sig.actions if a != "noop"]
+    n = sig.num_states
+    rel = [(s % n, user[a % len(user)], d % n) for s, a, d in triples] if user else []
+    doc = DomainDoc("d", sig, complete_transitions(sig, rel))
+    assert parse_domain(serialize_domain(doc)) == doc
 
 
 def test_parse_domain_declarations_before_transitions():
@@ -371,6 +430,16 @@ def test_parse_scenario_overlong_weight_is_located(dom):
     assert "integer too long (5000 digits)" in e.value.message
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff13"])
+def test_parse_scenario_weights_are_ascii_digits(dom, digit):
+    text = _scenario(f"obs formula p\nreliability weights {digit}\n")
+    with pytest.raises(ParseError) as e:
+        parse_scenario(text, dom)
+    assert (e.value.message, e.value.line, e.value.col) == (
+        "expected an integer", 4, len("reliability weights ") + 1
+    )
+
+
 def test_parse_scenario_initial_may_not_be_empty(dom):
     with pytest.raises(ParseError) as e:
         parse_scenario("scenario s\ninitial states { }\nobs formula p\n", dom)
@@ -454,6 +523,15 @@ def test_parse_ranking_overlong_rank_is_located():
         parse_ranking(text)
     assert (e.value.line, e.value.col) == (5, len("rank {p}: ") + 1)
     assert "integer too long" in e.value.message
+
+
+def test_parse_ranking_ranks_are_ascii_digits():
+    text = "ranking r\nfluents p\nbase { {} }\nrank {}: 0\nrank {p}: \u0661\n"
+    with pytest.raises(ParseError) as e:
+        parse_ranking(text)
+    assert (e.value.message, e.value.line, e.value.col) == (
+        "expected an integer", 5, len("rank {p}: ") + 1
+    )
 
 
 def test_parse_ranking_value_errors():

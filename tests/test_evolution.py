@@ -7,9 +7,11 @@ from bevo import (
     EvolutionResult,
     InconsistentView,
     WorldView,
+    combined_change,
     complete_transitions,
     consistent,
     constant,
+    dalal_ranking,
     evolve,
     evolve_consistent,
     evolve_skeptical,
@@ -22,6 +24,7 @@ from bevo import (
     preimage,
     recency,
     repairs,
+    shift_ranking,
     universe,
     update_seq,
 )
@@ -96,6 +99,33 @@ def test_preimage_requires_deterministic(tiny_sig):
     nondet = complete_transitions(tiny_sig, [(0, "a", 1), (0, "a", 2)])
     with pytest.raises(ValueError):
         preimage(frozenset((1,)), ("a",), nondet)
+
+
+_NONDETERMINISTIC = "^this operation requires a deterministic transition system$"
+
+
+def test_every_entry_rejects_nondeterminism_with_one_message(tiny_sig):
+    nondet = complete_transitions(tiny_sig, [(0, "a", 1), (0, "a", 2)])
+    one, view = frozenset((1,)), WorldView(("a",), (frozenset((1,)),))
+    calls = [
+        lambda: evolve(one, view, nondet),
+        lambda: consistent(view, nondet),
+        lambda: repairs(view, nondet),
+        lambda: preimage(one, ("a",), nondet),
+        lambda: preimage(one, (), nondet),
+        lambda: final_state_shortcut(one, ("a",), one, nondet),
+        lambda: shift_ranking(dalal_ranking(one, tiny_sig), "a", nondet),
+        lambda: combined_change(one, "a", one, nondet),
+        # The determinism check comes before the other input checks.
+        lambda: evolve(frozenset(), view, nondet),
+        lambda: final_state_shortcut(frozenset(), ("a",), one, nondet),
+        lambda: combined_change(frozenset(), "a", one, nondet),
+        lambda: preimage(one, ("zz",), nondet),
+        lambda: shift_ranking(dalal_ranking(one, tiny_sig), "zz", nondet),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=_NONDETERMINISTIC):
+            call()
 
 
 def test_consistent_litmus(litmus):

@@ -34,6 +34,8 @@ def test_signature_injects_noop():
 def test_signature_noop_not_duplicated():
     sig = make_signature(("p",), ("a", NULL_ACTION))
     assert sig.actions.count(NULL_ACTION) == 1
+    # The file formats leave noop implicit, so it always comes last.
+    assert make_signature(("p",), (NULL_ACTION, "a")).actions == ("a", NULL_ACTION)
 
 
 def test_signature_num_states():
@@ -50,6 +52,15 @@ def test_signature_rejects_bad_names():
         make_signature(("",))
     with pytest.raises(ValueError):
         make_signature([f"f{i}" for i in range(17)])
+    # Names follow the rule of the file formats, in the library too.
+    assert make_signature(("_p", "Q2"), ("go_1",)).fluents == ("_p", "Q2")
+    for bad in ("a-b", "2p", "caf\u00e9", "p q", "p\n"):
+        with pytest.raises(ValueError, match=r"^fluent name must match "):
+            make_signature((bad,))
+        with pytest.raises(ValueError, match=r"^action name must match "):
+            make_signature(("p",), (bad,))
+    with pytest.raises(ValueError, match="fluent name must be a non-empty string"):
+        make_signature((3,))
 
 
 def test_state_index_round_trip():
@@ -212,6 +223,25 @@ def test_successor_map_only_when_deterministic(tiny_sig):
     nondet = complete_transitions(tiny_sig, [(0, "a", 1), (0, "a", 2)])
     with pytest.raises(ValueError):
         nondet.successor_map("a")
+
+
+_BAD_TRIPLES = [
+    ((0, "b", 0), "unknown action 'b' in transition"),
+    ((0, "a", 4), "transition (0, 'a', 4) out of range"),
+    ((-1, "a", 0), "transition (-1, 'a', 0) out of range"),
+    ((0, NULL_ACTION, 1), "the noop action must be the identity, got (0, 1)"),
+    ((0, NULL_ACTION, 4), "transition (0, 'noop', 4) out of range"),
+    ((0, "zz", 9), "unknown action 'zz' in transition"),
+]
+
+
+@pytest.mark.parametrize("triple, message", _BAD_TRIPLES)
+def test_both_constructors_reject_a_bad_triple_alike(tiny_sig, triple, message):
+    total = {(s, a, s) for a in tiny_sig.actions for s in range(4)}
+    for build, rel in ((TransitionSystem, total | {triple}), (complete_transitions, [triple])):
+        with pytest.raises(ValueError) as e:
+            build(tiny_sig, rel)
+        assert str(e.value) == message
 
 
 def test_successors_unknown_action(tiny_sig):
