@@ -24,6 +24,7 @@ from typing import Any, Callable, Container, Iterable, Iterator, Union
 
 from .kernel import (
     _NAME,
+    _mask,
     NULL_ACTION,
     And,
     Atom,
@@ -45,7 +46,7 @@ from .kernel import (
     states_data,
     universe,
 )
-from .revision import FaithfulRanking, RankingAssignment, check_faithful
+from .revision import Ranking, RankingAssignment
 from .evolution import (
     BeliefTrajectory,
     EvolutionResult,
@@ -136,13 +137,6 @@ class _Cursor:
         if key in once:
             seen.add(key)
         return key
-
-    def fluents(self) -> tuple[str, ...]:
-        """The names of a ``fluents`` directive: at least one."""
-        names = self.items(self.word)
-        if not names:
-            raise self.error("at least one fluent is required")
-        return names
 
     def signature(self, fluents: tuple[str, ...], actions: tuple[str, ...]) -> Signature:
         """``make_signature``, its errors located at the cursor."""
@@ -431,7 +425,7 @@ def parse_domain(text: str) -> DomainDoc:
             # A transition names a declared action, so both header lines,
             # once-only, come before any transition.
             if key in header:
-                header[key] = cur.fluents() if key == "fluents" else cur.items(cur.word)
+                header[key] = cur.items(cur.word)
                 # Checked on each header line, so an error points at its line.
                 checked = cur.signature(header["fluents"], header["actions"])
                 sig = checked if "fluents" in seen else None
@@ -674,14 +668,15 @@ class RankingDoc:
 
     name: str
     signature: Signature
-    ranking: FaithfulRanking
+    ranking: Ranking
 
 
 def parse_ranking(text: str) -> RankingDoc:
     """Parse a ranking file: fluents, a base belief state, one rank per state.
 
-    The ranking must be faithful to its base: base states share the unique
-    smallest rank.
+    Rank values only order the states: the strata are the distinct values,
+    smallest first.  The ranking must be faithful to its base: base states
+    share the unique smallest rank.
     """
     name, lines = _named(text, "ranking")
     sig: Signature | None = None
@@ -696,7 +691,7 @@ def parse_ranking(text: str) -> RankingDoc:
         if sig is None and key in ("base", "rank"):
             raise cur.error(f"'fluents' must come before {key!r}")
         if key == "fluents":
-            sig = cur.signature(cur.fluents(), ())
+            sig = cur.signature(cur.items(cur.word), ())
         elif key == "base":
             base_line = cur.line
             base = cur.state_set_literal(sig)
@@ -727,8 +722,9 @@ def parse_ranking(text: str) -> RankingDoc:
             raise ParseError(
                 f"no rank given for state {format_state(sig, s)}", 1, 1
             )
-    ranking = FaithfulRanking(base, tuple(ranks[s] for s in range(sig.num_states)))
-    if not check_faithful(ranking):
+    values = sorted(set(ranks.values()))
+    ranking = Ranking(tuple(_mask(s for s in ranks if ranks[s] == v) for v in values))
+    if ranking.base != base:
         raise ParseError(
             "ranking is not faithful: base states must share the unique "
             "smallest rank",
@@ -746,7 +742,7 @@ def serialize_ranking(doc: RankingDoc) -> str:
         f"base {format_state_set(sig, doc.ranking.base)}",
     ]
     for s in range(sig.num_states):
-        lines.append(f"rank {format_state(sig, s)}: {doc.ranking.ranks[s]}")
+        lines.append(f"rank {format_state(sig, s)}: {doc.ranking.rank_of(s)}")
     return "\n".join(lines) + "\n"
 
 
@@ -757,7 +753,7 @@ def ranking_assignment(doc: RankingDoc) -> RankingAssignment:
     request is an error because the file carries no ranking for it.
     """
 
-    def assign(kappa: StateSet) -> FaithfulRanking:
+    def assign(kappa: StateSet) -> Ranking:
         if frozenset(kappa) != doc.ranking.base:
             raise ValueError(
                 f"ranking {doc.name!r} is only faithful to its own base "

@@ -5,7 +5,9 @@ names.  A state is a truth assignment to the fluents, identified with its
 canonical index: bit k of the index gives the value of the k-th declared
 fluent.  Public functions take and return state sets as frozensets of these
 indices; inside the package a state set may also be a mask, an int with bit
-s set for each member s, which only ``_mask`` and ``_members`` convert.
+s set for each member s.  ``_mask`` and ``_members`` convert between the
+two; ``_state_mask`` is ``_mask`` for a set from outside the package, with
+each index checked.  A ranking is a tuple of masks, one per stratum.
 Fluent names become a state through one table, ``Signature._bits``, which
 ``state_index`` and every reader in ``dsl`` share.  Other helpers convert
 between indices, fluent sets, and display strings.
@@ -116,6 +118,16 @@ def _mask(states: Iterable[int]) -> int:
     """The mask of a state set: bit s is set for each member s."""
     mask = 0
     for s in states:
+        mask |= 1 << s
+    return mask
+
+
+def _state_mask(states: Iterable[int], num_states: int) -> int:
+    """The mask of a state set from outside the package, each index checked."""
+    mask = 0
+    for s in states:
+        if not 0 <= s < num_states:
+            raise ValueError(f"state index {s} out of range")
         mask |= 1 << s
     return mask
 

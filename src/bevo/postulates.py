@@ -32,7 +32,7 @@ from .kernel import (
 )
 from .update import update, update_seq
 from .revision import (
-    FaithfulRanking,
+    Ranking,
     RankingAssignment,
     combined_change,
     dalal_assignment,
@@ -405,12 +405,10 @@ def naive_update_then_revise(
 def _prefer_state_assignment(sig: Signature, preferred: int) -> RankingAssignment:
     """Faithful for every base: members rank 0, ``preferred`` 1, the rest 2."""
 
-    def assign(kappa: StateSet) -> FaithfulRanking:
-        ranks = tuple(
-            0 if s in kappa else (1 if s == preferred else 2)
-            for s in range(sig.num_states)
-        )
-        return FaithfulRanking(kappa, ranks)
+    def assign(kappa: StateSet) -> Ranking:
+        base = _mask(kappa)
+        second = (1 << preferred) & ~base
+        return Ranking((base, second, (1 << sig.num_states) - 1 - base - second))
 
     return assign
 

@@ -1,88 +1,83 @@
 """Belief revision driven by rankings that are faithful to a belief state.
 
-A ranking grades every state by plausibility, with the current belief state
-occupying the unique minimal stratum.  Revising by an observation keeps the
-most plausible states satisfying it.  The default grading is the Hamming
-distance to the nearest member of the belief state (Dalal's measure).
+A ranking is a total pre-order over states, stored as its strata: disjoint
+state masks, most plausible first; a ranking faithful to a belief state has
+it as its first stratum.  Revising by an observation keeps its part in the
+first stratum that meets it.  The default ranking is the Hamming distance to
+the nearest believed state (Dalal's measure), built layer by layer on masks.
 
 Rankings can also be pushed forward through an action of a deterministic
 transition system: a state reachable by the action inherits the best rank of
 its predecessors.  ``combined_change`` uses that shifted ranking to apply an
 action and an observation in one step.
+
+State sets cross the API as frozensets and become masks through
+``kernel._state_mask``, which rejects a state index out of range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Optional
 
-from .kernel import Signature, StateSet, TransitionSystem, _require_deterministic
+from .kernel import Signature, StateSet, TransitionSystem, _mask, _members
+from .kernel import _require_deterministic, _state_mask
 from .update import update
 
 
 @dataclass(frozen=True)
-class FaithfulRanking:
-    """A total plausibility grading anchored to a belief state.
+class Ranking:
+    """A plausibility pre-order: ``strata`` are disjoint state masks, most
+    plausible first, and a state's rank is the index of its stratum.  States
+    in no stratum are unranked; a stratum may be empty."""
 
-    ``ranks[s]`` is the rank of state ``s``; lower is more plausible.  The
-    members of ``base`` must share the strictly smallest rank.
-    """
+    strata: tuple[int, ...]
 
-    base: StateSet
-    ranks: tuple[int, ...]
-
-    def rank_of(self, state: int) -> int:
-        return self.ranks[state]
-
-
-@dataclass(frozen=True)
-class ShiftedRanking:
-    """A ranking pushed forward through one action; partial by nature.
-
-    Only states with at least one predecessor under the action are graded;
-    ``rank_of`` returns None for the rest.
-    """
-
-    action: str
-    ranks: Mapping[int, int]
-
-    def rank_of(self, state: int) -> Optional[int]:
-        return self.ranks.get(state)
+    @property
+    def base(self) -> StateSet:
+        """The most plausible states: those of the first stratum."""
+        return _members(self.strata[0] if self.strata else 0)
 
     @property
     def domain(self) -> StateSet:
-        return frozenset(self.ranks)
+        """The ranked states."""
+        return _members(reduce(or_, self.strata, 0))
+
+    def rank_of(self, state: int) -> Optional[int]:
+        """The index of the stratum holding ``state``; None if unranked."""
+        return next((r for r, m in enumerate(self.strata) if m >> state & 1), None)
 
 
-RankingAssignment = Callable[[StateSet], FaithfulRanking]
+RankingAssignment = Callable[[StateSet], Ranking]
 
 
-def check_faithful(ranking: FaithfulRanking) -> bool:
-    """True when the base states share one rank strictly below all others."""
-    if not ranking.base:
-        return False
-    if any(not 0 <= s < len(ranking.ranks) for s in ranking.base):
-        return False
-    base_ranks = {ranking.ranks[s] for s in ranking.base}
-    if len(base_ranks) != 1:
-        return False
-    floor = base_ranks.pop()
-    return all(
-        ranking.ranks[s] > floor
-        for s in range(len(ranking.ranks))
-        if s not in ranking.base
-    )
+def _least(alpha: int, ranking: Ranking) -> StateSet:
+    """The states of mask ``alpha`` in the first stratum that meets it."""
+    for stratum in ranking.strata:
+        if stratum & alpha:
+            return _members(stratum & alpha)
+    return frozenset()
 
 
-def dalal_ranking(kappa: Iterable[int], sig: Signature) -> FaithfulRanking:
-    """Rank each state by its Hamming distance to the nearest base state."""
-    base = frozenset(kappa)
-    if not base:
+def dalal_ranking(kappa: Iterable[int], sig: Signature) -> Ranking:
+    """Rank each state by its Hamming distance to the nearest base state: a
+    stratum is the one before it with one fluent flipped, less ranked states."""
+    layer = _state_mask(kappa, sig.num_states)
+    if not layer:
         raise ValueError("cannot rank around an empty belief state")
-    ranks = tuple(
-        min((s ^ b).bit_count() for b in base) for s in range(sig.num_states)
-    )
-    return FaithfulRanking(base, ranks)
+    full = (1 << sig.num_states) - 1
+    ranked = layer
+    strata = [layer]
+    while ranked != full:
+        grown = 0
+        for k, true in enumerate(sig._fluent_masks):
+            grown |= (layer & ~true) << (1 << k) | (layer & true) >> (1 << k)
+        layer = grown & ~ranked
+        ranked |= layer
+        strata.append(layer)
+    return Ranking(tuple(strata))
 
 
 def dalal_assignment(sig: Signature) -> RankingAssignment:
@@ -90,46 +85,46 @@ def dalal_assignment(sig: Signature) -> RankingAssignment:
     return lambda kappa: dalal_ranking(kappa, sig)
 
 
-def min_states(alpha: Iterable[int], ranking) -> StateSet:
+def min_states(alpha: Iterable[int], ranking: Ranking) -> StateSet:
     """The minimal-rank members of ``alpha``; unranked states are skipped."""
-    best: Optional[int] = None
-    out: list[int] = []
-    for s in alpha:
-        r = ranking.rank_of(s)
-        if r is None:
-            continue
-        if best is None or r < best:
-            best = r
-            out = [s]
-        elif r == best:
-            out.append(s)
-    return frozenset(out)
+    return _least(_mask(alpha), ranking)
 
 
 def revise(kappa: StateSet, alpha: StateSet, assign: RankingAssignment) -> StateSet:
     """Keep the most plausible states of ``alpha`` under the ranking for ``kappa``.
 
-    Revising by the empty observation yields the empty set; revising by
-    anything non-empty yields a non-empty subset of it.
+    The ranking grades every state, so its ranked states are the range
+    ``alpha`` is checked against.  Revising by the empty observation yields
+    the empty set, and by anything non-empty a non-empty subset of it.
     """
     if not kappa:
         raise ValueError("cannot revise an empty belief state")
     if not alpha:
         return frozenset()
-    return min_states(alpha, assign(kappa))
+    ranking = assign(kappa)
+    num_states = reduce(or_, ranking.strata, 0).bit_length()
+    return _least(_state_mask(alpha, num_states), ranking)
 
 
-def shift_ranking(
-    ranking: FaithfulRanking, action: str, ts: TransitionSystem
-) -> ShiftedRanking:
-    """Push a ranking forward through an action of a deterministic system."""
+def shift_ranking(ranking: Ranking, action: str, ts: TransitionSystem) -> Ranking:
+    """Push a ranking forward through an action of a deterministic system.
+
+    Each stratum maps to its image, less the states an earlier image holds;
+    an emptied stratum stays, so every state keeps its inherited rank.
+    """
     succ = ts.successor_map(action)
-    shifted: dict[int, int] = {}
-    for src, rank in enumerate(ranking.ranks):
-        dst = succ[src]
-        if dst not in shifted or rank < shifted[dst]:
-            shifted[dst] = rank
-    return ShiftedRanking(action, shifted)
+    reached = 0
+    strata = []
+    for stratum in ranking.strata:
+        image = 0
+        bits = bin(stratum)[:1:-1]  # bits[s] is "1" for each member s
+        s = bits.find("1")
+        while s >= 0:
+            image |= 1 << succ[s]
+            s = bits.find("1", s + 1)
+        strata.append(image & ~reached)
+        reached |= image
+    return Ranking(tuple(strata))
 
 
 def combined_change(
@@ -148,10 +143,9 @@ def combined_change(
     _require_deterministic(ts)
     if not kappa:
         raise ValueError("cannot change an empty belief state")
-    if assign is None:
-        assign = dalal_assignment(ts.signature)
-    reachable = frozenset(ts.successor_map(action))
-    if reachable & alpha:
-        shifted = shift_ranking(assign(kappa), action, ts)
-        return min_states(alpha, shifted)
+    observed = _state_mask(alpha, ts.signature.num_states)
+    if _mask(ts.successor_map(action)) & observed:
+        if assign is None:
+            assign = dalal_assignment(ts.signature)
+        return _least(observed, shift_ranking(assign(kappa), action, ts))
     return update(kappa, action, ts)

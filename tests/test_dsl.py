@@ -14,6 +14,8 @@ from bevo import (
     Not,
     Or,
     ParseError,
+    Ranking,
+    RankingDoc,
     WorldView,
     complete_transitions,
     evolve,
@@ -26,6 +28,7 @@ from bevo import (
     parse_state_set,
     ranking_assignment,
     result_from_json,
+    revise,
     serialize_domain,
     serialize_formula,
     serialize_ranking,
@@ -266,10 +269,10 @@ _names = st.one_of(
 )
 
 
-# A file names at least one fluent, so a signature without fluents has no
-# file form; every other signature make_signature accepts has one.
+# Every signature make_signature accepts has a file form, the one without
+# fluents too.
 @given(
-    fluents=st.lists(_names, min_size=1, max_size=3),
+    fluents=st.lists(_names, max_size=3),
     actions=st.lists(_names, max_size=3),
     triples=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 7))),
 )
@@ -330,8 +333,8 @@ def test_parse_domain_empty_and_missing():
         parse_domain("")
     with pytest.raises(ParseError):
         parse_domain("domain d\n")
-    with pytest.raises(ParseError):
-        parse_domain("domain d\nfluents\n")
+    # An empty fluents line declares no fluents; only a missing one is an error.
+    assert parse_domain("domain d\nfluents\n").signature.fluents == ()
 
 
 def test_serialize_domain_round_trip():
@@ -495,7 +498,31 @@ def test_parse_ranking_bundled_golden():
     assert doc.name == "cautious"
     assert doc.signature.fluents == ("Red", "Blue", "Acid")
     assert doc.ranking.base == frozenset((0, 4))
-    assert doc.ranking.ranks == (0, 2, 1, 2, 0, 1, 1, 2)
+    assert doc.ranking.strata == (0b00010001, 0b01100100, 0b10001010)
+    assert [doc.ranking.rank_of(s) for s in range(8)] == [0, 2, 1, 2, 0, 1, 1, 2]
+
+
+def test_bundled_ranking_round_trips_byte_for_byte():
+    text = (DATA / "litmus.bevr").read_text()
+    body = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+    assert serialize_ranking(parse_ranking(text)) == body
+
+
+def test_rank_values_only_order_the_states():
+    """Gapped ranks give the same strata, revisions and file as compacted ones;
+    the file form writes each state's stratum index."""
+    text = (DATA / "litmus.bevr").read_text()
+    gapped = text.replace(": 1\n", ": 5\n").replace(": 2\n", ": 9\n")
+    assert ": 9\n" in gapped and ": 1\n" not in gapped
+    doc, compact = parse_ranking(gapped), parse_ranking(text)
+    assert doc.ranking == compact.ranking
+    assert serialize_ranking(doc) == serialize_ranking(compact)
+    base = compact.ranking.base
+    for m in range(256):
+        alpha = frozenset(s for s in range(8) if m >> s & 1)
+        assert revise(base, alpha, ranking_assignment(doc)) == revise(
+            base, alpha, ranking_assignment(compact)
+        )
 
 
 def test_parse_ranking_requires_full_coverage():
@@ -553,6 +580,20 @@ def test_serialize_ranking_round_trip():
     again = parse_ranking(canonical)
     assert again == doc
     assert serialize_ranking(again) == canonical
+
+
+def test_signature_without_fluents_round_trips():
+    sig = make_signature((), ("a",))
+    doc = DomainDoc("d", sig, complete_transitions(sig, ()))
+    assert parse_domain(serialize_domain(doc)) == doc
+    ranking = RankingDoc("r", make_signature(()), Ranking((0b1,)))
+    canonical = serialize_ranking(ranking)
+    assert canonical == "ranking r\nfluents \nbase { {} }\nrank {}: 0\n"
+    assert parse_ranking(canonical) == ranking
+    with pytest.raises(ParseError, match="missing 'fluents' directive"):
+        parse_domain("domain d\nactions a\n")
+    with pytest.raises(ParseError, match="'fluents' must come before 'base'"):
+        parse_ranking("ranking r\nbase { {} }\n")
 
 
 def test_ranking_assignment_guards_base():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bevo import FaithfulRanking, complete_transitions, dalal_assignment
+from bevo import Ranking, complete_transitions, dalal_assignment
 from bevo.postulates import (
     CounterexampleReport,
     Instance,
@@ -159,7 +159,7 @@ def test_check_agm_flags_flat_ranking():
     sig = suite_signature(2, with_action=False)
 
     def flat(kappa):
-        return FaithfulRanking(kappa, (0,) * sig.num_states)
+        return Ranking(((1 << sig.num_states) - 1,))
 
     rep = check_agm(flat, sig)
     assert any(v.postulate == "AGM-ii" for v in rep.violations)

@@ -1,10 +1,10 @@
+import itertools
+
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import given, settings
 
 from bevo import (
-    FaithfulRanking,
-    check_faithful,
     combined_change,
     complete_transitions,
     dalal_assignment,
@@ -26,13 +26,14 @@ _any_set = st.sets(st.integers(0, 3)).map(frozenset)
 def test_dalal_ranking_golden():
     """Hamming distances from the all-false state."""
     r = dalal_ranking(frozenset((0,)), _SIG)
-    assert r.ranks == (0, 1, 1, 2)
+    assert r.strata == (0b0001, 0b0110, 0b1000)
+    assert [r.rank_of(s) for s in range(4)] == [0, 1, 1, 2]
     assert r.base == frozenset((0,))
 
 
 def test_dalal_ranking_two_member_base():
     r = dalal_ranking(frozenset((0, 3)), _SIG)
-    assert r.ranks == (0, 1, 1, 0)
+    assert r.strata == (0b1001, 0b0110)
 
 
 def test_dalal_ranking_empty_base():
@@ -42,21 +43,36 @@ def test_dalal_ranking_empty_base():
 
 @given(_nonempty)
 def test_dalal_is_faithful(kappa):
-    assert check_faithful(dalal_ranking(kappa, _SIG))
-
-
-def test_check_faithful_rejects_flat():
-    flat = FaithfulRanking(frozenset((0,)), (0, 0, 1, 1))
-    assert not check_faithful(flat)
-    shifted_base = FaithfulRanking(frozenset((0,)), (1, 0, 2, 2))
-    assert not check_faithful(shifted_base)
+    """The base is the first stratum; the strata are non-empty, disjoint and
+    cover every state."""
+    r = dalal_ranking(kappa, _SIG)
+    assert r.base == kappa
+    assert all(r.strata)
+    assert sorted(s for m in r.strata for s in range(4) if m >> s & 1) == [0, 1, 2, 3]
+    assert r.domain == frozenset(range(4))
 
 
 def test_rank_of_bounds():
     r = dalal_ranking(frozenset((0,)), _SIG)
     assert r.rank_of(3) == 2
-    with pytest.raises(IndexError):
-        r.rank_of(4)
+    assert r.rank_of(4) is None
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_state_index_out_of_range(tiny_sig, bad):
+    ts = complete_transitions(tiny_sig, [(0, "a", 1)])
+    dalal = dalal_assignment(_SIG)
+    calls = [
+        lambda: dalal_ranking(frozenset((0, bad)), _SIG),
+        lambda: revise(frozenset((bad,)), frozenset((1,)), dalal),
+        lambda: revise(frozenset((0,)), frozenset((bad,)), dalal),
+        lambda: revise(frozenset((0,)), frozenset((1, bad)), dalal),
+        lambda: combined_change(frozenset((bad,)), "a", frozenset((1,)), ts),
+        lambda: combined_change(frozenset((0,)), "a", frozenset((bad,)), ts),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^state index {bad} out of range$"):
+            call()
 
 
 def test_revise_consistent_is_intersection():
@@ -109,6 +125,7 @@ def test_min_states_skips_unranked():
     shifted = shift_ranking(dalal_ranking(frozenset((0,)), sig1), "a", ts)
     # state 0 is unreachable through 'a', so it has no shifted rank
     assert shifted.rank_of(0) is None
+    assert shifted.domain == frozenset((1,))
     assert min_states(frozenset((0, 1)), shifted) == frozenset((1,))
 
 
@@ -116,8 +133,9 @@ def test_shift_ranking_golden():
     sig1 = make_signature(("p",), ("a",))
     ts = complete_transitions(sig1, [(0, "a", 1)])
     shifted = shift_ranking(dalal_ranking(frozenset((0,)), sig1), "a", ts)
-    # both states map to {p}; the better predecessor wins
-    assert shifted.domain == frozenset((1,))
+    # both states map to {p}; the better predecessor wins, and the emptied
+    # second stratum stays
+    assert shifted.strata == (0b10, 0)
     assert shifted.rank_of(1) == 0
 
 
@@ -148,3 +166,77 @@ def test_combined_change_disjoint_from_range(tiny_sig):
     ts = complete_transitions(tiny_sig, [(0, "a", 1)])
     kappa = frozenset((2,))
     assert combined_change(kappa, "a", frozenset((0,)), ts) == frozenset((2,))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the definitions: Dalal revision keeps the states
+# of alpha at minimum Hamming distance from kappa, and a shifted state takes
+# the best rank among its predecessors.
+
+
+def _distance(s, kappa):
+    return min((s ^ k).bit_count() for k in kappa)
+
+
+def _dalal_reference(kappa, alpha):
+    if not alpha:
+        return frozenset()
+    best = min(_distance(s, kappa) for s in alpha)
+    return frozenset(s for s in alpha if _distance(s, kappa) == best)
+
+
+def _sets(n):
+    return [frozenset(s for s in range(n) if m >> s & 1) for m in range(1 << n)]
+
+
+def test_revise_matches_hamming_reference_three_fluents():
+    sig = make_signature(("p", "q", "r"))
+    assign = dalal_assignment(sig)
+    sets = _sets(8)
+    pairs = 0
+    for kappa in sets[1:]:
+        for alpha in sets:
+            assert revise(kappa, alpha, assign) == _dalal_reference(kappa, alpha)
+            pairs += 1
+    assert pairs == 255 * 256
+
+
+@st.composite
+def _revision_case(draw):
+    n = draw(st.integers(4, 8))
+    states = st.integers(0, (1 << n) - 1)
+    kappa = draw(st.frozensets(states, min_size=1, max_size=20))
+    alpha = draw(st.frozensets(states, max_size=40))
+    return n, kappa, alpha
+
+
+@settings(deadline=None)
+@given(_revision_case())
+def test_revise_matches_hamming_reference_sampled(case):
+    n, kappa, alpha = case
+    sig = make_signature([f"f{k}" for k in range(n)])
+    assert revise(kappa, alpha, dalal_assignment(sig)) == _dalal_reference(kappa, alpha)
+
+
+def test_shift_and_combined_change_match_predecessor_reference(tiny_sig):
+    """Every deterministic one-action system over two fluents."""
+    sets = _sets(4)
+    systems = 0
+    for succ in itertools.product(range(4), repeat=4):
+        ts = complete_transitions(tiny_sig, [(s, "a", d) for s, d in enumerate(succ)])
+        systems += 1
+        for kappa in sets[1:]:
+            shifted = shift_ranking(dalal_ranking(kappa, tiny_sig), "a", ts)
+            best = {}
+            for s, d in enumerate(succ):
+                best[d] = min(best.get(d, 4), _distance(s, kappa))
+            assert [shifted.rank_of(t) for t in range(4)] == [best.get(t) for t in range(4)]
+            for alpha in sets:
+                ranked = [s for s in alpha if s in best]
+                if ranked:
+                    low = min(best[s] for s in ranked)
+                    expected = frozenset(s for s in ranked if best[s] == low)
+                else:
+                    expected = update(kappa, "a", ts)
+                assert combined_change(kappa, "a", alpha, ts) == expected
+    assert systems == 256

@@ -19,7 +19,7 @@ import json
 import pytest
 
 import bevo.postulates as postulates
-from bevo import FaithfulRanking, iterated_revise, revise
+from bevo import Ranking, iterated_revise, revise
 from bevo.cli import main
 
 
@@ -287,7 +287,7 @@ def test_agm_digest_under_flat_ranking():
     sig = postulates.suite_signature(2, with_action=False)
 
     def flat(kappa):
-        return FaithfulRanking(kappa, (0,) * sig.num_states)
+        return Ranking(((1 << sig.num_states) - 1,))
 
     rep = postulates.check_agm(flat, sig)
     machine = json.dumps(rep.to_data(), indent=2)
@@ -305,7 +305,7 @@ AGM_FLAT_DIGEST = (
 def test_interaction_digest_under_unfaithful_ranking():
     # Ranks the all-false state above the other whatever kappa is.
     def unfaithful(kappa):
-        return FaithfulRanking(kappa, (1, 0))
+        return Ranking((0b10, 0b01))
 
     rep = postulates.run_interaction_suite(fluents=1, assign=unfaithful)
     machine = json.dumps(rep.to_data(), indent=2)
