@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable, Container, Iterable, Iterator, Union
 
 from .kernel import (
@@ -802,14 +803,64 @@ def _states_from_data(sig: Signature, data: object, field: str) -> StateSet:
     return frozenset(out)
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
 def machine_text(doc: object) -> str:
-    """The machine form of a document: stable, indented JSON and a newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """The machine form of a document: stable, indented JSON and a newline.
+
+    The bytes are those of ``json.dumps`` with an indent of 2, plus a
+    newline; any indent would run its pure-Python encoder.  Strings are
+    escaped in C, a list of strings is one join, and a list met again at
+    the same depth is written once per call.  Documents are built of dicts
+    with ``str`` keys, lists, tuples, strings, ints, bools and ``None``.
+    Other values go to ``json.dumps``, which raises ``TypeError`` for a
+    type it cannot write; a key that is not a ``str`` raises ``TypeError``
+    too, where ``json.dumps`` would coerce it.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def write(obj: object, pad: str) -> str:
+        if isinstance(obj, str):
+            return _escape(obj)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            inner = pad + "  "
+            if isinstance(obj[0], str):
+                try:
+                    body = (",\n" + inner).join(map(_escape, obj))
+                    return "[\n" + inner + body + "\n" + pad + "]"
+                except TypeError:  # a later item is not a string
+                    pass
+            key = (id(obj), len(pad))
+            text = memo.get(key)
+            if text is None:
+                body = (",\n" + inner).join([write(x, inner) for x in obj])
+                text = memo[key] = "[\n" + inner + body + "\n" + pad + "]"
+            return text
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = pad + "  "
+            items = []
+            for k, v in obj.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                items.append(_escape(k) + ": " + write(v, inner))
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        return json.dumps(obj)  # other scalars; TypeError for any other type
+
+    return write(doc, "") + "\n"
 
 
 def sequences_data(sig: Signature, seqs: Iterable[Iterable[StateSet]]) -> list:
-    """Machine encoding of state-set sequences: repaired views, trajectories."""
-    return [[states_data(sig, k) for k in seq] for seq in seqs]
+    """Machine encoding of state-set sequences: repaired views, trajectories.
+
+    Equal state sets share one list object, so the document is read-only.
+    """
+    data = cache(lambda k: states_data(sig, k))
+    return [[data(k) for k in seq] for seq in seqs]
 
 
 def repair_line(sig: Signature, i: int, obs: Iterable[StateSet]) -> str:
@@ -820,7 +871,10 @@ def repair_line(sig: Signature, i: int, obs: Iterable[StateSet]) -> str:
 def result_to_data(
     res: ResultLike, sig: Signature, scenario: str = ""
 ) -> dict:
-    """Self-describing machine document for an evolution outcome."""
+    """Self-describing machine document for an evolution outcome.
+
+    Read-only: equal state sets share one list (``sequences_data``).
+    """
     doc: dict = {"scenario": scenario, "signature": signature_data(sig)}
     if isinstance(res, EvolutionResult):
         doc["consistent"] = res.was_consistent

@@ -22,6 +22,10 @@ _RANKING = str(DATA / "litmus.bevr")
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code == 0 and "machine" in argv:
+        # machine output is a fixed point of the standard JSON encoder
+        out = captured.out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
     return code, captured.out, captured.err
 
 
@@ -361,6 +365,31 @@ def test_counterexample_machine(capsys):
     doc = json.loads(out)
     assert doc["failed"] == ["L4", "L5", "L6"]
     assert doc["values"]["O"] == [["q"]]
+
+
+_MACHINE_COMMANDS = {
+    "evolve-repaired": ["evolve", "--domain", _DOMAIN, "--scenario", _CONFLICT],
+    "revise-dalal": [
+        "revise", "--domain", _DOMAIN, "--belief", "{ {Blue}, {Red,Acid} }", "--obs", "Red",
+    ],
+    "revise-ranking": [
+        "revise", "--ranking", _RANKING, "--belief", "{ {}, {Acid} }", "--obs", "Blue | Red",
+    ],
+    "preimage": ["preimage", "--domain", _DOMAIN, "--obs", "Red", "--actions", "dip"],
+    "check-agm": ["check", "--suite", "agm", "--fluents", "2"],
+    "check-lehmann": ["check", "--suite", "lehmann", "--fluents", "2", "--samples", "5"],
+    "check-i1i2": ["check", "--suite", "i1i2", "--fluents", "2", "--samples", "5"],
+    "check-interaction": [
+        "check", "--suite", "interaction", "--fluents", "2", "--samples", "5",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", _MACHINE_COMMANDS.values(), ids=_MACHINE_COMMANDS)
+def test_machine_output_is_indented_json(capsys, argv):
+    code, out, _ = _run(capsys, *argv, "--format", "machine")
+    assert code == 0
+    assert out.startswith("{\n")
 
 
 def test_missing_file_is_a_clean_error(capsys):

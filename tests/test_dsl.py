@@ -18,6 +18,7 @@ from bevo import (
     RankingDoc,
     WorldView,
     complete_transitions,
+    constant,
     evolve,
     make_signature,
     models,
@@ -36,6 +37,7 @@ from bevo import (
     serialize_scenario,
     universe,
 )
+from bevo.dsl import result_to_data
 
 from conftest import DATA, state_of
 
@@ -678,6 +680,20 @@ def test_result_from_json_round_trip(litmus):
     sig2, res2 = result_from_json(out)
     assert sig2 == litmus.signature
     assert res2 == res
+
+
+def test_result_from_json_round_trip_with_shared_observations(litmus):
+    # Both repairs of Acid ; !Acid ; {} or Acid keep the third observation,
+    # so its states list is one object met twice in the document.
+    sig = litmus.signature
+    acid = frozenset(s for s in range(8) if s & state_of(sig, "Acid"))
+    view = WorldView(("noop",) * 3, (acid, universe(sig) - acid, acid | {0}))
+    kappa = frozenset((state_of(sig), state_of(sig, "Acid")))
+    res = evolve(kappa, view, litmus.ts, r=constant)
+    assert [obs[2] for obs in res.repaired_views] == [acid | {0}] * 2
+    doc = result_to_data(res, sig)
+    assert doc["repairs"][0][2] is doc["repairs"][1][2]
+    assert result_from_json(serialize_result(res, sig, "machine")) == (sig, res)
 
 
 def test_result_from_json_plain_trajectory(litmus):
