@@ -310,6 +310,38 @@ class EvolutionResult:
     trajectories: tuple[BeliefTrajectory, ...]
 
 
+# The part of evolving through a view that does not depend on kappa: whether
+# the view was consistent, the repaired views (the view itself when it was)
+# and, for each, the meet of the preimages it keeps, which kappa is revised by.
+_Plan = tuple[bool, tuple[ObservationTrajectory, ...], tuple[StateSet, ...]]
+
+
+def _plan(view: WorldView, ts: TransitionSystem, r: ReliabilityFunction) -> _Plan:
+    """The preimages, the consistency test and, if needed, the repairs."""
+    masks = _preimage_masks(view, ts)
+    core = _meet(masks.values(), ts)
+    if core:
+        return True, (view.observations,), (_members(core),)
+    fixed = repairs(view, ts, r)
+    full = universe(ts.signature)
+    cores = []
+    for obs in fixed:
+        kept = _retained_positions(view.observations, obs, full)
+        cores.append(_members(_meet((m for i, m in masks.items() if kept >> i & 1), ts)))
+    return False, fixed, tuple(cores)
+
+
+def _trajectories(
+    kappa: StateSet,
+    cores: tuple[StateSet, ...],
+    view: WorldView,
+    ts: TransitionSystem,
+    assign: RankingAssignment,
+) -> tuple[BeliefTrajectory, ...]:
+    """Revise ``kappa`` by each of a plan's cores and update forward."""
+    return tuple([_forward(revise(kappa, core, assign), view, ts) for core in cores])
+
+
 def evolve(
     kappa: StateSet,
     view: WorldView,
@@ -324,19 +356,8 @@ def evolve(
     as the default recency ordering) there is exactly one repair.
     """
     assign = _checked_assignment(kappa, ts, assign)
-    masks = _preimage_masks(view, ts)
-    core = _meet(masks.values(), ts)
-    if core:
-        trajectory = _forward(revise(kappa, _members(core), assign), view, ts)
-        return EvolutionResult(True, (view.observations,), (trajectory,))
-    fixed = repairs(view, ts, r)
-    full = universe(ts.signature)
-    trajectories = []
-    for obs in fixed:
-        kept = _retained_positions(view.observations, obs, full)
-        core = _meet((m for i, m in masks.items() if kept >> i & 1), ts)
-        trajectories.append(_forward(revise(kappa, _members(core), assign), view, ts))
-    return EvolutionResult(False, fixed, tuple(trajectories))
+    was_consistent, fixed, cores = _plan(view, ts, r)
+    return EvolutionResult(was_consistent, fixed, _trajectories(kappa, cores, view, ts, assign))
 
 
 def evolve_skeptical(

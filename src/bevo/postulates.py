@@ -38,7 +38,8 @@ from .revision import (
     dalal_assignment,
     revise,
 )
-from .evolution import evolve, iterated_revise, padded_view, preimage
+from .evolution import WorldView, _plan, _trajectories, evolve, iterated_revise
+from .evolution import padded_view, preimage, recency
 
 _FLUENT_POOL = ("p", "q", "r", "s", "u")
 _SUITE_ACTION = "a"
@@ -229,6 +230,12 @@ def _random_state_set(
     return _members(rng.randrange(lo, 1 << sig.num_states))
 
 
+def _require_length(name: str, value: int) -> None:
+    """Reject a sequence-length bound that would leave a sweep with nothing."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
     """Instances (system, belief state, action trajectory, observation).
 
@@ -236,6 +243,7 @@ def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
     non-empty belief state, every trajectory over both actions up to the
     length bound, and every observation.
     """
+    _require_length("trajectory_len", bounds.trajectory_len)
     sig, _, samples = _suite_scope("interaction", bounds.fluents, bounds.samples, None)
     if samples is None:
         kappas = state_sets(sig, include_empty=False)
@@ -313,6 +321,42 @@ def evolution_final_state(
     return result.trajectories[0][-1]
 
 
+def _interaction_violations(
+    inst: Instance, final: StateSet, reach: StateSet, base: StateSet
+) -> tuple[str, list[Violation]]:
+    """The note and the P1-P5 violations of one instance's induced change.
+
+    ``reach`` is every state the actions can lead to and ``base`` the update
+    of kappa by them.
+    """
+    alpha = inst.observations[-1]
+    vios = []
+    if reach & alpha:
+        note = "consistent"
+        if not final <= alpha:
+            vios.append(Violation("P1", inst, final, alpha))
+    else:
+        note = "repaired"
+        if final != base:
+            vios.append(Violation("P2", inst, final, base))
+    met = base & alpha
+    if not met <= final:
+        vios.append(Violation("P3", inst, met, final))
+    if met and not final <= met:
+        vios.append(Violation("P4", inst, final, met))
+    if not final <= reach:
+        vios.append(Violation("P5", inst, final, reach))
+    return note, vios
+
+
+def _padded_plan(
+    actions: tuple[str, ...], alpha: StateSet, ts: TransitionSystem
+) -> tuple[WorldView, tuple[StateSet, ...]]:
+    """``evolution_final_state``'s padded view and the cores of its plan."""
+    view = padded_view(actions, alpha, ts.signature)
+    return view, _plan(view, ts, recency)[2]
+
+
 def check_interaction(
     inst: Instance,
     assign: RankingAssignment | None = None,
@@ -334,22 +378,7 @@ def check_interaction(
         final = evolution_final_state(inst.kappa, inst.actions, alpha, ts, assign)
     else:
         final = operator(inst.kappa, inst.actions, alpha)
-    vios = []
-    if reach & alpha:
-        note = "consistent"
-        if not final <= alpha:
-            vios.append(Violation("P1", inst, final, alpha))
-    else:
-        note = "repaired"
-        if final != base:
-            vios.append(Violation("P2", inst, final, base))
-    met = base & alpha
-    if not met <= final:
-        vios.append(Violation("P3", inst, met, final))
-    if met and not final <= met:
-        vios.append(Violation("P4", inst, final, met))
-    if not final <= reach:
-        vios.append(Violation("P5", inst, final, reach))
+    note, vios = _interaction_violations(inst, final, reach, base)
     return SuiteReport("interaction", "instance", 1, tuple(vios), (note,))
 
 
@@ -365,19 +394,37 @@ def run_interaction_suite(
     Violations are reported for consistent instances; instances whose padded
     view needed repair are evaluated too, but their outcome is informational
     and summarised in the notes.
+
+    Each instance is what ``check_interaction`` evaluates, but the work that
+    does not depend on kappa is done once per transition system: ``reach``
+    per trajectory, the padded view's evolution plan per (trajectory,
+    observation) and ``base`` per (kappa, trajectory).
     """
     sig, assign, samples = _suite_scope("interaction", fluents, samples, assign)
     bounds = ScopeBounds(len(sig.fluents), trajectory_len, samples, seed)
+    assign = cache(assign)
+    full = universe(sig)
     consistent_n = repaired_n = repaired_bad = 0
     vios: list[Violation] = []
+    ts = None
     for inst in enumerate_instances(bounds):
-        rep = check_interaction(inst, assign)
-        if rep.notes[0] == "consistent":
+        if inst.ts is not ts:
+            ts = inst.ts
+            reach_of = cache(partial(update_seq, full, ts=ts))
+            plan_of = cache(partial(_padded_plan, ts=ts))
+            base_of = cache(partial(update_seq, ts=ts))
+        acts, alpha = inst.actions, inst.observations[-1]
+        view, cores = plan_of(acts, alpha)
+        final = _trajectories(inst.kappa, cores, view, ts, assign)[0][-1]
+        note, found = _interaction_violations(
+            inst, final, reach_of(acts), base_of(inst.kappa, acts)
+        )
+        if note == "consistent":
             consistent_n += 1
-            vios.extend(rep.violations)
+            vios.extend(found)
         else:
             repaired_n += 1
-            repaired_bad += len(rep.violations)
+            repaired_bad += len(found)
     scope = _scope(sig, samples, seed, f"trajectories<={trajectory_len}")
     notes = (
         f"{repaired_n} instances needed repair; informational failures "
@@ -462,13 +509,17 @@ def check_I1_I2(
     alphas = state_sets(sig)
     for action in sig.actions:
         reach = frozenset(ts.successor_map(action))
+        # The preimage of each reachable observation; None marks I2.
+        pres = [
+            (alpha, preimage(alpha, (action,), ts) if reach & alpha else None)
+            for alpha in alphas
+        ]
         for kappa in kappas:
-            for alpha in alphas:
+            for alpha, pre in pres:
                 count += 1
                 got = op(kappa, action, alpha)
-                if reach & alpha:
+                if pre is not None:
                     pid = "I1"
-                    pre = preimage(alpha, (action,), ts)
                     want = update(revise(kappa, pre, assign), action, ts)
                 else:
                     pid = "I2"
@@ -491,6 +542,7 @@ def run_i1i2_suite(
     ranking assignment, over every exhaustive system (or a seeded sample).
     """
     sig, assign, samples = _suite_scope("i1i2", fluents, samples, assign)
+    assign = cache(assign)
     if samples is None:
         systems: Iterator[TransitionSystem] = single_action_systems(sig)
     else:
@@ -754,6 +806,7 @@ def check_lehmann(
     alpha whose sequences fit in ``max_len``, or checks a seeded stream of
     ``samples`` single draws.  Each beta value counts as one instance.
     """
+    _require_length("max_len", max_len)
     full, every = universe(sig), state_sets(sig)
     nonempty = every[1:]
     vios: list[Violation] = []
@@ -786,10 +839,12 @@ def check_lehmann(
         draw = partial(_random_state_set, rng, sig, nonempty=True)
         # Draw kappa, alpha, beta, the law, then a prefix one shorter than
         # the sweep's longest for the laws that need one, which get (beta,)
-        # if it comes out empty.  L5* needs beta below alpha.
+        # if it comes out empty.  L5* needs beta below alpha.  Only the laws
+        # whose shortest sequence fits in max_len are drawn, as in the sweep.
+        laws = [law for law in _LEHMANN if law.min_prefix + law.appended <= max_len]
         for _ in range(samples):
             kappa, alpha, beta = draw(), draw(), draw()
-            law = _LEHMANN[rng.randrange(len(_LEHMANN))]
+            law = laws[rng.randrange(len(laws))]
             longest = max_len - law.appended - law.min_prefix
             prefix = tuple(draw() for _ in range(rng.randint(0, longest)))
             prefix = prefix or (beta,) * law.min_prefix

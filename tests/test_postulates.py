@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import bevo.postulates as postulates
 from bevo import Ranking, complete_transitions, dalal_assignment
 from bevo.postulates import (
     CounterexampleReport,
@@ -260,3 +261,38 @@ def test_violation_describe_mentions_states():
     assert "DP2" in text
     assert "kappa { {} }" in text
     json.dumps(vio.to_data())
+
+
+@pytest.mark.parametrize(
+    "run, bound",
+    [
+        (lambda: run_interaction_suite(fluents=1, trajectory_len=0), "trajectory_len"),
+        (lambda: run_interaction_suite(fluents=1, trajectory_len=0, samples=5), "trajectory_len"),
+        (lambda: run_interaction_suite(fluents=2, trajectory_len=-1), "trajectory_len"),
+        (lambda: run_lehmann_suite(fluents=1, max_len=0), "max_len"),
+        (lambda: run_lehmann_suite(fluents=1, max_len=0, samples=5), "max_len"),
+    ],
+    ids=[
+        "interaction-exhaustive",
+        "interaction-sampled",
+        "interaction-negative",
+        "lehmann-exhaustive",
+        "lehmann-sampled",
+    ],
+)
+def test_empty_length_bound_is_rejected(run, bound):
+    # A zero bound would leave nothing to check, and the suite would pass.
+    with pytest.raises(ValueError, match=f"^{bound} must be at least 1, got -?[0-9]+$"):
+        run()
+
+
+def test_lehmann_length_one_checks_only_l2_in_both_modes(monkeypatch):
+    # Only L2 fits in one observation, so both modes check L2 alone.
+    def believe_everything(kappa, seq, sig, assign=None):
+        return frozenset(range(sig.num_states))
+
+    monkeypatch.setattr(postulates, "iterated_revise", believe_everything)
+    for samples in (None, 50):
+        rep = run_lehmann_suite(fluents=1, max_len=1, samples=samples)
+        assert rep.instances == (9 if samples is None else 50)
+        assert {v.postulate for v in rep.violations} == {"L2"}

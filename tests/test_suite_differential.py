@@ -1,0 +1,141 @@
+"""The memoised suite sweeps against instance-by-instance references.
+
+``run_interaction_suite`` plans each padded view once per system and
+``check_I1_I2`` takes each preimage once per (action, observation).  The
+references here evaluate every instance on its own through the public
+``check_interaction`` (and so the public ``evolve``) and through a fresh
+``preimage`` per instance.  Broken or unfaithful rankings make the
+violation lists non-empty, so their order is compared too.
+"""
+
+import random
+from functools import partial
+
+import pytest
+
+from bevo import Ranking, combined_change, dalal_assignment, preimage, revise, update
+from bevo.postulates import (
+    ScopeBounds,
+    check_I1_I2,
+    check_interaction,
+    enumerate_instances,
+    run_interaction_suite,
+    single_action_systems,
+    state_sets,
+    suite_signature,
+)
+
+
+def _flat(n_fluents):
+    """Every state equally plausible: revision keeps all of the observation."""
+    everything = Ranking(((1 << (1 << n_fluents)) - 1,))
+    return lambda kappa: everything
+
+
+def _unfaithful(kappa):
+    """Prefers the state where p holds whatever kappa is (one fluent)."""
+    return Ranking((0b10, 0b01))
+
+
+def _violations(vios):
+    return [(v.postulate, v.instance, v.lhs, v.rhs) for v in vios]
+
+
+def _interaction_reference(fluents, trajectory_len, assign, samples, seed):
+    """(instances, notes, violations) from one ``check_interaction`` per instance."""
+    consistent = repaired = informational = 0
+    vios = []
+    bounds = ScopeBounds(fluents, trajectory_len, samples, seed)
+    for inst in enumerate_instances(bounds):
+        rep = check_interaction(inst, assign)
+        if rep.notes == ("consistent",):
+            consistent += 1
+            vios.extend(rep.violations)
+        else:
+            repaired += 1
+            informational += len(rep.violations)
+    notes = (
+        f"{repaired} instances needed repair; informational failures "
+        f"after repair: {informational}",
+    )
+    return consistent, notes, _violations(vios)
+
+
+def _assignment(name, fluents):
+    if name == "dalal":
+        return dalal_assignment(suite_signature(fluents))
+    return _unfaithful if name == "unfaithful" else _flat(fluents)
+
+
+def _check_interaction_sweep(fluents, trajectory_len, ranking, samples=None, seed=0):
+    assign = _assignment(ranking, fluents)
+    want = _interaction_reference(fluents, trajectory_len, assign, samples, seed)
+    rep = run_interaction_suite(fluents, trajectory_len, assign, samples, seed)
+    assert (rep.instances, rep.notes, _violations(rep.violations)) == want
+    return rep
+
+
+@pytest.mark.parametrize("ranking", ["dalal", "unfaithful"])
+@pytest.mark.parametrize("trajectory_len", [1, 2, 3])
+def test_interaction_sweep_exhaustive_one_fluent(trajectory_len, ranking):
+    rep = _check_interaction_sweep(1, trajectory_len, ranking)
+    assert rep.instances > 0
+    assert rep.passed == (ranking == "dalal")
+
+
+@pytest.mark.parametrize("ranking", ["dalal", "flat"])
+@pytest.mark.parametrize("fluents, seed", [(2, 0), (2, 11), (3, 0), (3, 11)])
+def test_interaction_sweep_sampled(fluents, seed, ranking):
+    rep = _check_interaction_sweep(fluents, 3, ranking, samples=300, seed=seed)
+    assert rep.passed == (ranking == "dalal")
+
+
+def _i1i2_reference(op, assign, ts):
+    """(instances, violations) with a fresh preimage for every instance."""
+    sig = ts.signature
+    count, vios = 0, []
+    for action in sig.actions:
+        reach = frozenset(ts.successor_map(action))
+        for kappa in state_sets(sig, include_empty=False):
+            for alpha in state_sets(sig):
+                count += 1
+                got = op(kappa, action, alpha)
+                if reach & alpha:
+                    pid = "I1"
+                    pre = preimage(alpha, (action,), ts)
+                    want = update(revise(kappa, pre, assign), action, ts)
+                else:
+                    pid = "I2"
+                    want = update(kappa, action, ts)
+                if got != want:
+                    vios.append((pid, (kappa, action, alpha), got, want))
+    return count, vios
+
+
+def _check_i1i2(ts, fluents):
+    """``check_I1_I2`` of the suite's operator and of one that ranks wrongly."""
+    assign = dalal_assignment(suite_signature(fluents))
+    found = 0
+    for op_assign in (assign, _flat(fluents)):
+        op = partial(combined_change, ts=ts, assign=op_assign)
+        rep = check_I1_I2(op, assign, ts)
+        got = [
+            (v.postulate, (v.instance.kappa, *v.instance.actions, *v.instance.observations),
+             v.lhs, v.rhs)
+            for v in rep.violations
+        ]
+        assert (rep.instances, got) == _i1i2_reference(op, assign, ts)
+        found += len(got)
+    return found
+
+
+def test_i1i2_every_one_fluent_system():
+    systems = list(single_action_systems(suite_signature(1)))
+    assert sum(_check_i1i2(ts, 1) for ts in systems) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_i1i2_sampled_two_fluent_systems(seed):
+    systems = list(single_action_systems(suite_signature(2)))
+    sample = random.Random(seed).sample(systems, 6)
+    assert sum(_check_i1i2(ts, 2) for ts in sample) > 0
