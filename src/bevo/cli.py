@@ -39,7 +39,6 @@ from .dsl import (
     sequences_data,
     serialize_result,
 )
-from .postulates import lehmann_counterexample, run_suite
 
 _MAX_SHOWN_VIOLATIONS = 25
 
@@ -245,6 +244,10 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
+    # Only check and counterexample use postulates; the other commands start
+    # without compiling it.
+    from .postulates import run_suite
+
     seed = _resolve_seed(args.seed)
     report = run_suite(args.suite, args.fluents, args.samples, seed)
     if args.format == "machine":
@@ -255,6 +258,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> tuple[str, int]:
+    from .postulates import lehmann_counterexample
+
     report = lehmann_counterexample()
     if set(report.failed) != {"L4", "L5", "L6"}:
         raise ValueError(

@@ -28,8 +28,9 @@ All operations here require a deterministic transition system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
@@ -256,30 +257,34 @@ def _prefer(kept_a: int, kept_b: int, by_level: Sequence[int]) -> bool:
     return False
 
 
+def _greedy(masks: dict[int, int], levels: Sequence[int], core: int) -> tuple[int, int]:
+    """The one preferred repair when the levels of ``masks`` are pairwise distinct.
+
+    The order is then total and the repair is built greedily: visiting the
+    positions from most to least reliable, keep each one that leaves the
+    kept set consistent.  That set is maximal, and any other differs first
+    at a position it dropped, so it beats every other candidate.  Returns
+    the meet of the kept masks with ``core``, and the kept positions.
+    """
+    kept = 0
+    for i in sorted(masks, key=levels.__getitem__):
+        if core & masks[i]:
+            core &= masks[i]
+            kept |= 1 << i
+    return core, kept
+
+
 def repairs(
     view: WorldView,
     ts: TransitionSystem,
     r: ReliabilityFunction = recency,
 ) -> tuple[ObservationTrajectory, ...]:
-    """The repair candidates that are minimal in the reliability ordering.
-
-    When the repairable positions have pairwise distinct levels the order is
-    total and the one repair is built greedily: visiting the positions from
-    most to least reliable, keep each one that leaves the kept set
-    consistent.  That set is maximal, and any other differs first at a
-    position it dropped, so it beats every other candidate.
-    """
+    """The repair candidates that are minimal in the reliability ordering."""
     full = universe(ts.signature)
     levels = r(len(view))
     lattice = [i for i, o in enumerate(view.observations) if o != full]
     if len({levels[i] for i in lattice}) == len(lattice):
-        masks = _preimage_masks(view, ts)
-        core = _meet((), ts)
-        kept = 0
-        for i in sorted(lattice, key=levels.__getitem__):
-            if core & masks[i]:
-                core &= masks[i]
-                kept |= 1 << i
+        kept = _greedy(_preimage_masks(view, ts), levels, _meet((), ts))[1]
         return (_weakened(view.observations, kept, full),)
     candidates = minimal_repair_candidates(view, ts)
     kept_sets = [
@@ -429,10 +434,37 @@ def iterated_revise(
     observation and returns the final belief state.  For two observations
     beta then alpha this equals revising by their intersection when that is
     non-empty, and revising by alpha alone otherwise.
+
+    On that system each observation is its own preimage and every update is
+    the identity, so the result is ``kappa`` revised once, by the meet of the
+    observations the repair keeps.  That is computed directly whenever the
+    observations are consistent or their levels are pairwise distinct; tied
+    orders run the full evolution.
     """
     obs = tuple(frozenset(o) for o in observations)
     if not obs:
         raise ValueError("need at least one observation")
+    if not kappa:
+        raise ValueError("cannot evolve an empty belief state")
+    if NULL_ACTION not in sig.actions:
+        raise ValueError(f"unknown action {NULL_ACTION!r}")
+    if assign is None:
+        assign = dalal_assignment(sig)
+    # The masks _preimage_masks gives on the identity system.
+    full = universe(sig)
+    states = range(sig.num_states)
+    masks = {
+        i: _mask(s for s in states if s in o) for i, o in enumerate(obs) if o != full
+    }
+    everything = (1 << sig.num_states) - 1
+    core = reduce(and_, masks.values(), everything)
+    if not core:
+        # Tied levels need the repair lattice.
+        levels = r(len(obs))
+        if len({levels[i] for i in masks}) == len(masks):
+            core = _greedy(masks, levels, everything)[0]
+    if core:
+        return revise(kappa, _members(core), assign)
     ts = _identity_system(sig)
     view = WorldView((NULL_ACTION,) * len(obs), obs)
     result = evolve(kappa, view, ts, assign, r)

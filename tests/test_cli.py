@@ -341,7 +341,7 @@ def test_check_exit_two_and_violation_cap(capsys, monkeypatch):
     def fake(name, fluents, samples, seed):
         return SuiteReport("interaction", "stub", 30, (vio,) * 30)
 
-    monkeypatch.setattr(bevo.cli, "run_suite", fake)
+    monkeypatch.setattr("bevo.postulates.run_suite", fake)
     code, out, err = _run(capsys, "check", "--suite", "interaction")
     assert code == 2
     assert err == ""
@@ -484,6 +484,18 @@ def test_formula_at_the_depth_bound_is_accepted(capsys):
         capsys, "revise", "--domain", _DOMAIN, "--belief", "{ {} }", "--obs", obs
     )
     assert (code, out) == (0, "{ {Acid} }\n")
+
+
+def test_postulates_is_imported_by_the_commands_that_use_it_only():
+    probe = (
+        "import sys\n"
+        "import bevo.cli\n"
+        "print('bevo.postulates' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_argument_parser_is_built_on_first_use_only():
