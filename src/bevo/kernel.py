@@ -7,7 +7,8 @@ fluent.  Public functions take and return state sets as frozensets of these
 indices; inside the package a state set may also be a mask, an int with bit
 s set for each member s.  ``_mask`` and ``_members`` convert between the
 two; ``_state_mask`` is ``_mask`` for a set from outside the package, with
-each index checked.  A ranking is a tuple of masks, one per stratum.
+each index checked, and ``_image`` maps a mask through a successor function.
+A ranking is a tuple of masks, one per stratum.
 Fluent names become a state through one table, ``Signature._bits``, which
 ``state_index`` and every reader in ``dsl`` share.  Other helpers convert
 between indices, fluent sets, and display strings.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 NULL_ACTION = "noop"
 
@@ -136,6 +137,17 @@ def _members(mask: int) -> StateSet:
     """The state set of a mask: every s whose bit is set."""
     # bin() gives the bits most significant first, after a '0b' prefix.
     return frozenset(s for s, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+
+def _image(mask: int, succ: Sequence[int]) -> int:
+    """The mask of the successors under ``succ`` of the states of ``mask``."""
+    image = 0
+    bits = bin(mask)[:1:-1]  # bits[s] is "1" for each member s
+    s = bits.find("1")
+    while s >= 0:
+        image |= 1 << succ[s]
+        s = bits.find("1", s + 1)
+    return image
 
 
 def universe(sig: Signature) -> StateSet:

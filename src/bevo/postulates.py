@@ -13,13 +13,14 @@ import random
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .kernel import (
     NULL_ACTION,
     Signature,
     StateSet,
     TransitionSystem,
+    _image,
     _mask,
     _members,
     complete_transitions,
@@ -34,11 +35,12 @@ from .update import update, update_seq
 from .revision import (
     Ranking,
     RankingAssignment,
+    _revised,
     combined_change,
     dalal_assignment,
     revise,
 )
-from .evolution import WorldView, _plan, _trajectories, evolve, iterated_revise
+from .evolution import _plan, evolve, iterated_revise
 from .evolution import padded_view, preimage, recency
 
 _FLUENT_POOL = ("p", "q", "r", "s", "u")
@@ -69,14 +71,12 @@ class Instance:
             "kappa " + format_state_set(sig, self.kappa),
         ]
         if self.ts is not None:
-            parts.append(
-                "transitions "
-                + "; ".join(
-                    f"{a}: {format_state(sig, s)} -> {format_state(sig, d)}"
-                    for s, a, d in sorted(self.ts.relation)
-                    if a != NULL_ACTION and s != d
-                )
+            moves = (
+                f"{a}: {format_state(sig, s)} -> {format_state(sig, d)}"
+                for s, a, d in sorted(self.ts.relation)
+                if a != NULL_ACTION and s != d
             )
+            parts.append("transitions " + "; ".join(moves))
         if self.actions:
             parts.append("do " + ",".join(self.actions))
         for i, obs in enumerate(self.observations, start=1):
@@ -223,52 +223,48 @@ def _random_system(rng: random.Random, sig: Signature) -> TransitionSystem:
     return complete_transitions(sig, triples)
 
 
-def _random_state_set(
-    rng: random.Random, sig: Signature, nonempty: bool = False
-) -> StateSet:
-    lo = 1 if nonempty else 0
-    return _members(rng.randrange(lo, 1 << sig.num_states))
-
-
 def _require_length(name: str, value: int) -> None:
     """Reject a sequence-length bound that would leave a sweep with nothing."""
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
-    """Instances (system, belief state, action trajectory, observation).
+def _instance_masks(bounds: ScopeBounds) -> Iterator[tuple[TransitionSystem, int, tuple, int]]:
+    """(system, kappa mask, action trajectory, observation mask) per instance.
 
     Exhaustive mode covers every deterministic single-action system, every
     non-empty belief state, every trajectory over both actions up to the
-    length bound, and every observation.
+    length bound, and every observation.  Sampled mode draws each from the
+    stream seeded by ``bounds.seed``, in that order.
     """
     _require_length("trajectory_len", bounds.trajectory_len)
     sig, _, samples = _suite_scope("interaction", bounds.fluents, bounds.samples, None)
+    size = 1 << sig.num_states
     if samples is None:
-        kappas = state_sets(sig, include_empty=False)
-        alphas = state_sets(sig)
-        trajectories = [
-            trj
-            for ln in range(1, bounds.trajectory_len + 1)
-            for trj in product(sig.actions, repeat=ln)
-        ]
+        lengths = range(1, bounds.trajectory_len + 1)
+        trajectories = [trj for ln in lengths for trj in product(sig.actions, repeat=ln)]
         for ts in single_action_systems(sig):
-            for kappa in kappas:
+            for kmask in range(1, size):
                 for acts in trajectories:
-                    for alpha in alphas:
-                        yield Instance(sig, ts, kappa, acts, (alpha,))
+                    for amask in range(size):
+                        yield ts, kmask, acts, amask
     else:
         rng = random.Random(bounds.seed)
         for _ in range(samples):
             ts = _random_system(rng, sig)
-            kappa = _random_state_set(rng, sig, nonempty=True)
-            acts = tuple(
-                rng.choice(sig.actions)
-                for _ in range(rng.randint(1, bounds.trajectory_len))
-            )
-            alpha = _random_state_set(rng, sig)
-            yield Instance(sig, ts, kappa, acts, (alpha,))
+            kmask, steps = rng.randrange(1, size), rng.randint(1, bounds.trajectory_len)
+            acts = tuple(rng.choice(sig.actions) for _ in range(steps))
+            yield ts, kmask, acts, rng.randrange(size)
+
+
+def _instance(ts: TransitionSystem, kmask: int, acts: tuple[str, ...], amask: int) -> Instance:
+    return Instance(ts.signature, ts, _members(kmask), acts, (_members(amask),))
+
+
+def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
+    """Instances (system, belief state, action trajectory, observation), as
+    ``_instance_masks`` gives them."""
+    return (_instance(*masks) for masks in _instance_masks(bounds))
 
 
 class _Suite(NamedTuple):
@@ -285,7 +281,7 @@ class _Suite(NamedTuple):
 def _suite_scope(
     name: str, fluents: Optional[int], samples: Optional[int], assign: RankingAssignment | None
 ) -> tuple[Signature, RankingAssignment, Optional[int]]:
-    """Resolve a suite's signature, ranking assignment and sample count."""
+    """Resolve a suite's signature, sample count and assignment, memoised."""
     spec = _SUITES[name]
     if samples is not None and samples < 1:
         raise ValueError(f"the sample count must be at least 1, got {samples}")
@@ -295,7 +291,7 @@ def _suite_scope(
             hint = "; set samples" if spec.sampled else ""
             raise ValueError(f"the exhaustive {name} suite is capped at {spec.cap} fluents{hint}")
         samples = spec.fallback
-    return sig, assign if assign is not None else dalal_assignment(sig), samples
+    return sig, cache(assign if assign is not None else dalal_assignment(sig)), samples
 
 
 def _scope(sig: Signature, samples: Optional[int], seed: int, exhaustive: str) -> str:
@@ -317,44 +313,42 @@ def evolution_final_state(
 ) -> StateSet:
     """Final state of evolving with nothing observed until the end."""
     view = padded_view(actions, alpha, ts.signature)
-    result = evolve(kappa, view, ts, assign)
-    return result.trajectories[0][-1]
+    return evolve(kappa, view, ts, assign).trajectories[0][-1]
 
 
 def _interaction_violations(
-    inst: Instance, final: StateSet, reach: StateSet, base: StateSet
-) -> tuple[str, list[Violation]]:
-    """The note and the P1-P5 violations of one instance's induced change.
-
-    ``reach`` is every state the actions can lead to and ``base`` the update
-    of kappa by them.
+    alpha: int, final: int, reach: int, base: int
+) -> tuple[bool, tuple[tuple[str, int, int], ...]]:
+    """Whether the padded view was consistent, and the P1-P5 violations of
+    its induced change as (postulate, lhs, rhs).  All are state masks;
+    ``reach`` is every state the actions can lead to, ``base`` kappa's update.
     """
-    alpha = inst.observations[-1]
     vios = []
-    if reach & alpha:
-        note = "consistent"
-        if not final <= alpha:
-            vios.append(Violation("P1", inst, final, alpha))
-    else:
-        note = "repaired"
-        if final != base:
-            vios.append(Violation("P2", inst, final, base))
+    consistent = bool(reach & alpha)
+    if consistent:
+        if final & ~alpha:
+            vios.append(("P1", final, alpha))
+    elif final != base:
+        vios.append(("P2", final, base))
     met = base & alpha
-    if not met <= final:
-        vios.append(Violation("P3", inst, met, final))
-    if met and not final <= met:
-        vios.append(Violation("P4", inst, final, met))
-    if not final <= reach:
-        vios.append(Violation("P5", inst, final, reach))
-    return note, vios
+    if met & ~final:
+        vios.append(("P3", met, final))
+    if met and final & ~met:
+        vios.append(("P4", final, met))
+    if final & ~reach:
+        vios.append(("P5", final, reach))
+    return consistent, tuple(vios)
 
 
-def _padded_plan(
-    actions: tuple[str, ...], alpha: StateSet, ts: TransitionSystem
-) -> tuple[WorldView, tuple[StateSet, ...]]:
-    """``evolution_final_state``'s padded view and the cores of its plan."""
-    view = padded_view(actions, alpha, ts.signature)
-    return view, _plan(view, ts, recency)[2]
+def _decoded(found: Iterable[tuple[str, int, int]], inst: Instance) -> list[Violation]:
+    return [Violation(pid, inst, _members(lhs), _members(rhs)) for pid, lhs, rhs in found]
+
+
+def _padded_core(acts: tuple[str, ...], amask: int, ts: TransitionSystem) -> int:
+    """The mask ``evolution_final_state`` revises kappa by: the one core of
+    the padded view's plan under recency."""
+    view = padded_view(acts, _members(amask), ts.signature)
+    return _mask(_plan(view, ts, recency)[2][0])
 
 
 def check_interaction(
@@ -378,8 +372,9 @@ def check_interaction(
         final = evolution_final_state(inst.kappa, inst.actions, alpha, ts, assign)
     else:
         final = operator(inst.kappa, inst.actions, alpha)
-    note, vios = _interaction_violations(inst, final, reach, base)
-    return SuiteReport("interaction", "instance", 1, tuple(vios), (note,))
+    consistent, found = _interaction_violations(*map(_mask, (alpha, final, reach, base)))
+    note = "consistent" if consistent else "repaired"
+    return SuiteReport("interaction", "instance", 1, tuple(_decoded(found, inst)), (note,))
 
 
 def run_interaction_suite(
@@ -395,33 +390,34 @@ def run_interaction_suite(
     view needed repair are evaluated too, but their outcome is informational
     and summarised in the notes.
 
-    Each instance is what ``check_interaction`` evaluates, but the work that
-    does not depend on kappa is done once per transition system: ``reach``
-    per trajectory, the padded view's evolution plan per (trajectory,
-    observation) and ``base`` per (kappa, trajectory).
+    Each instance is what ``check_interaction`` evaluates, on state masks.
+    Per system the sweep memoises images under action sequences and the
+    core of each padded view's plan, and per kappa the ranking; an instance
+    is then one revision, one forward fold and the P1-P5 tests, decoded only
+    when it has a violation to record.
     """
     sig, assign, samples = _suite_scope("interaction", fluents, samples, assign)
     bounds = ScopeBounds(len(sig.fluents), trajectory_len, samples, seed)
-    assign = cache(assign)
-    full = universe(sig)
+    full = (1 << sig.num_states) - 1
     consistent_n = repaired_n = repaired_bad = 0
     vios: list[Violation] = []
-    ts = None
-    for inst in enumerate_instances(bounds):
-        if inst.ts is not ts:
-            ts = inst.ts
-            reach_of = cache(partial(update_seq, full, ts=ts))
-            plan_of = cache(partial(_padded_plan, ts=ts))
-            base_of = cache(partial(update_seq, ts=ts))
-        acts, alpha = inst.actions, inst.observations[-1]
-        view, cores = plan_of(acts, alpha)
-        final = _trajectories(inst.kappa, cores, view, ts, assign)[0][-1]
-        note, found = _interaction_violations(
-            inst, final, reach_of(acts), base_of(inst.kappa, acts)
-        )
-        if note == "consistent":
+    ts = ranked = None
+    check = cache(_interaction_violations)
+    for masks in _instance_masks(bounds):
+        inst_ts, kmask, acts, amask = masks
+        if inst_ts is not ts:
+            ts, ranked = inst_ts, None
+            forward = cache(partial(_forward_mask, ts=ts))
+            core_of = cache(partial(_padded_core, ts=ts))
+        if kmask != ranked:
+            ranked = kmask
+            revised = cache(partial(_revised, ranking=assign(_members(kmask))))
+        final = forward(revised(core_of(acts, amask)), acts)
+        consistent, found = check(amask, final, forward(full, acts), forward(kmask, acts))
+        if consistent:
             consistent_n += 1
-            vios.extend(found)
+            if found:
+                vios.extend(_decoded(found, _instance(*masks)))
         else:
             repaired_n += 1
             repaired_bad += len(found)
@@ -431,6 +427,13 @@ def run_interaction_suite(
         f"after repair: {repaired_bad}",
     )
     return SuiteReport("interaction", scope, consistent_n, tuple(vios), notes)
+
+
+def _forward_mask(mask: int, acts: tuple[str, ...], ts: TransitionSystem) -> int:
+    """The update of ``mask`` by the action trajectory ``acts``."""
+    for a in acts:
+        mask = _image(mask, ts.successor_map(a))
+    return mask
 
 
 def _prefer_state_assignment(sig: Signature, preferred: int) -> RankingAssignment:
@@ -486,32 +489,29 @@ def check_I1_I2(
 
     For every (belief state, action, observation): when the observation is
     reachable the operator must equal revise-by-preimage then update, and
-    otherwise it must equal plain update.
+    otherwise it must equal plain update.  That side is computed on masks.
     """
     sig = ts.signature
+    sets = state_sets(sig)
     vios: list[Violation] = []
     count = 0
-    kappas = state_sets(sig, include_empty=False)
-    alphas = state_sets(sig)
     for action in sig.actions:
-        reach = frozenset(ts.successor_map(action))
+        succ = ts.successor_map(action)
+        images = [_image(m, succ) for m in range(len(sets))]
+        reach = images[-1]
         # The preimage of each reachable observation; None marks I2.
-        pres = [
-            (alpha, preimage(alpha, (action,), ts) if reach & alpha else None)
-            for alpha in alphas
-        ]
-        for kappa in kappas:
-            for alpha, pre in pres:
+        pres = [_mask(preimage(a, (action,), ts)) if reach & m else None for m, a in enumerate(sets)]
+        for kmask, kappa in enumerate(sets[1:], 1):
+            ranking = assign(kappa)
+            for amask, pre in enumerate(pres):
                 count += 1
-                got = op(kappa, action, alpha)
+                got = op(kappa, action, sets[amask])
                 if pre is not None:
-                    pid = "I1"
-                    want = update(revise(kappa, pre, assign), action, ts)
+                    pid, want = "I1", sets[images[_revised(pre, ranking)]]
                 else:
-                    pid = "I2"
-                    want = update(kappa, action, ts)
+                    pid, want = "I2", sets[images[kmask]]
                 if got != want:
-                    inst = Instance(sig, ts, kappa, (action,), (alpha,))
+                    inst = Instance(sig, ts, kappa, (action,), (sets[amask],))
                     vios.append(Violation(pid, inst, got, want))
     return SuiteReport("i1i2", "one system", count, tuple(vios))
 
@@ -528,7 +528,6 @@ def run_i1i2_suite(
     ranking assignment, over every exhaustive system (or a seeded sample).
     """
     sig, assign, samples = _suite_scope("i1i2", fluents, samples, assign)
-    assign = cache(assign)
     if samples is None:
         systems: Iterator[TransitionSystem] = single_action_systems(sig)
     else:
@@ -658,10 +657,8 @@ def check_dp(
         triples: Iterator[tuple[StateSet, ...]] = product(nonempty, repeat=3)
     else:
         rng = random.Random(seed)
-        triples = (
-            tuple(_random_state_set(rng, sig, nonempty=True) for _ in range(3))
-            for _ in range(samples)
-        )
+        size = 1 << sig.num_states
+        triples = (tuple(_members(rng.randrange(1, size)) for _ in range(3)) for _ in range(samples))
     rev = cache(partial(revise, assign=assign))
     vios: list[Violation] = []
     count = 0
@@ -841,8 +838,11 @@ def check_lehmann(
                     for alpha, betas in alphas:
                         check(law, kappa, fins[kappa], prefix, alpha, betas)
     else:
-        rng = random.Random(seed)
-        draw = partial(_random_state_set, rng, sig, nonempty=True)
+        rng, size = random.Random(seed), 1 << sig.num_states
+
+        def draw() -> StateSet:
+            return _members(rng.randrange(1, size))
+
         # Draw kappa, alpha, beta, the law, then a prefix one shorter than
         # the sweep's longest for the laws that need one, which get (beta,)
         # if it comes out empty.  L5* needs beta below alpha.  Only the laws

@@ -11,18 +11,19 @@ transition system: a state reachable by the action inherits the best rank of
 its predecessors.  ``combined_change`` uses that shifted ranking to apply an
 action and an observation in one step.
 
-State sets cross the API as frozensets and become masks through
-``kernel._state_mask``, which rejects a state index out of range.
+State sets cross the API as frozensets and become masks inside, through
+``kernel._state_mask`` where an index is checked against the signature.
+Revision takes an observation only when the ranking grades all of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 from typing import Callable, Iterable, Optional
 
-from .kernel import Signature, StateSet, TransitionSystem, _mask, _members
+from .kernel import Signature, StateSet, TransitionSystem, _image, _mask, _members
 from .kernel import _require_deterministic, _state_mask
 from .update import update
 
@@ -40,10 +41,15 @@ class Ranking:
         """The most plausible states: those of the first stratum."""
         return _members(self.strata[0] if self.strata else 0)
 
+    @cached_property
+    def _graded(self) -> int:
+        """The mask of the ranked states, computed once per ranking."""
+        return reduce(or_, self.strata, 0)
+
     @property
     def domain(self) -> StateSet:
         """The ranked states."""
-        return _members(reduce(or_, self.strata, 0))
+        return _members(self._graded)
 
     def rank_of(self, state: int) -> Optional[int]:
         """The index of the stratum holding ``state``; None if unranked."""
@@ -53,12 +59,21 @@ class Ranking:
 RankingAssignment = Callable[[StateSet], Ranking]
 
 
-def _least(alpha: int, ranking: Ranking) -> StateSet:
+def _least(alpha: int, ranking: Ranking) -> int:
     """The states of mask ``alpha`` in the first stratum that meets it."""
     for stratum in ranking.strata:
         if stratum & alpha:
-            return _members(stratum & alpha)
-    return frozenset()
+            return stratum & alpha
+    return 0
+
+
+def _revised(alpha: int, ranking: Ranking) -> int:
+    """Revision on masks: ``_least``, once every state of ``alpha`` is found
+    ranked; the lowest that is not raises ``ValueError`` as out of range."""
+    stray = alpha & ~ranking._graded
+    if stray:
+        raise ValueError(f"state index {(stray & -stray).bit_length() - 1} out of range")
+    return _least(alpha, ranking)
 
 
 def dalal_ranking(kappa: Iterable[int], sig: Signature) -> Ranking:
@@ -87,23 +102,27 @@ def dalal_assignment(sig: Signature) -> RankingAssignment:
 
 def min_states(alpha: Iterable[int], ranking: Ranking) -> StateSet:
     """The minimal-rank members of ``alpha``; unranked states are skipped."""
-    return _least(_mask(alpha), ranking)
+    return _members(_least(_mask(alpha), ranking))
 
 
 def revise(kappa: StateSet, alpha: StateSet, assign: RankingAssignment) -> StateSet:
     """Keep the most plausible states of ``alpha`` under the ranking for ``kappa``.
 
-    The ranking grades every state, so its ranked states are the range
-    ``alpha`` is checked against.  Revising by the empty observation yields
-    the empty set, and by anything non-empty a non-empty subset of it.
+    Every state of ``alpha`` must be ranked: the lowest state that is not
+    raises ``ValueError`` as out of range.  Revising by the empty observation
+    yields the empty set, and by anything non-empty a non-empty subset of it.
     """
     if not kappa:
         raise ValueError("cannot revise an empty belief state")
     if not alpha:
         return frozenset()
     ranking = assign(kappa)
-    num_states = reduce(or_, ranking.strata, 0).bit_length()
-    return _least(_state_mask(alpha, num_states), ranking)
+    graded = ranking._graded
+    if min(alpha) < 0 or max(alpha) >= graded.bit_length():
+        # A negative state has no mask bit and a huge one needs a huge mask.
+        stray = min(s for s in alpha if s < 0 or not graded >> s & 1)
+        raise ValueError(f"state index {stray} out of range")
+    return _members(_revised(_mask(alpha), ranking))
 
 
 def shift_ranking(ranking: Ranking, action: str, ts: TransitionSystem) -> Ranking:
@@ -116,12 +135,7 @@ def shift_ranking(ranking: Ranking, action: str, ts: TransitionSystem) -> Rankin
     reached = 0
     strata = []
     for stratum in ranking.strata:
-        image = 0
-        bits = bin(stratum)[:1:-1]  # bits[s] is "1" for each member s
-        s = bits.find("1")
-        while s >= 0:
-            image |= 1 << succ[s]
-            s = bits.find("1", s + 1)
+        image = _image(stratum, succ)
         strata.append(image & ~reached)
         reached |= image
     return Ranking(tuple(strata))
@@ -147,5 +161,5 @@ def combined_change(
     if _mask(ts.successor_map(action)) & observed:
         if assign is None:
             assign = dalal_assignment(ts.signature)
-        return _least(observed, shift_ranking(assign(kappa), action, ts))
+        return _members(_least(observed, shift_ranking(assign(kappa), action, ts)))
     return update(kappa, action, ts)

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from bevo import (
+    Ranking,
     combined_change,
     complete_transitions,
     dalal_assignment,
@@ -73,6 +74,35 @@ def test_state_index_out_of_range(tiny_sig, bad):
     for call in calls:
         with pytest.raises(ValueError, match=f"^state index {bad} out of range$"):
             call()
+
+
+def _partial(kappa):
+    """Ranks states 0 and 2 only, whatever kappa is."""
+    return Ranking((0b0001, 0b0100))
+
+
+@pytest.mark.parametrize(
+    "alpha, bad",
+    [({1}, 1), ({3}, 3), ({1, 3}, 1), ({2, 3}, 3), ({1, 9}, 1), ({-2, 1}, -2), ({2, 2**40}, 2**40)],
+)
+def test_revise_rejects_an_unranked_state(alpha, bad):
+    # The lowest state of alpha that the ranking leaves unranked is named,
+    # and a huge index is rejected before any mask is built for it.
+    with pytest.raises(ValueError, match=f"^state index {bad} out of range$"):
+        revise(frozenset((0,)), frozenset(alpha), _partial)
+
+
+def test_revise_by_ranked_states_of_a_partial_ranking():
+    assert revise(frozenset((0,)), frozenset((0, 2)), _partial) == frozenset((0,))
+    assert revise(frozenset((0,)), frozenset((2,)), _partial) == frozenset((2,))
+    # min_states skips unranked states instead.
+    assert min_states(frozenset((1, 2, 3)), _partial(None)) == frozenset((2,))
+
+
+def test_ranked_mask_leaves_equality_alone():
+    a, b = Ranking((0b01, 0b10)), Ranking((0b01, 0b10))
+    assert a._graded == 0b11 and a.domain == frozenset((0, 1))
+    assert (a == b, hash(a) == hash(b), repr(a) == repr(b)) == (True, True, True)
 
 
 def test_revise_consistent_is_intersection():

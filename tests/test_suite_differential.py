@@ -5,7 +5,8 @@
 references here evaluate every instance on its own through the public
 ``check_interaction`` (and so the public ``evolve``) and through a fresh
 ``preimage`` per instance.  Broken or unfaithful rankings make the
-violation lists non-empty, so their order is compared too.
+violation lists non-empty, so their order is compared too, and a partial
+ranking must fail the sweep and the reference with the same error.
 """
 
 import random
@@ -13,6 +14,7 @@ from functools import partial
 
 import pytest
 
+import bevo.postulates as postulates
 from bevo import Ranking, combined_change, dalal_assignment, preimage, revise, update
 from bevo.postulates import (
     ScopeBounds,
@@ -88,6 +90,31 @@ def test_interaction_sweep_exhaustive_one_fluent(trajectory_len, ranking):
 def test_interaction_sweep_sampled(fluents, seed, ranking):
     rep = _check_interaction_sweep(fluents, 3, ranking, samples=300, seed=seed)
     assert rep.passed == (ranking == "dalal")
+
+
+@pytest.mark.parametrize("ranking", ["dalal", "flat"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_interaction_sweep_exhaustive_two_fluent_slice(monkeypatch, seed, ranking):
+    # The exhaustive two-fluent scope, over a seeded slice of its systems.
+    systems = random.Random(seed).sample(list(single_action_systems(suite_signature(2))), 16)
+    monkeypatch.setattr(postulates, "single_action_systems", lambda sig: iter(systems))
+    assert sum(1 for _ in enumerate_instances(ScopeBounds(2, 1))) == 16 * 15 * 2 * 16
+    rep = _check_interaction_sweep(2, 1, ranking)
+    assert rep.passed == (ranking == "dalal")
+
+
+@pytest.mark.parametrize("strata", [(0b0001, 0b0100), (0b1000,), (0b0110, 0b0001)])
+@pytest.mark.parametrize("samples", [None, 50])
+def test_interaction_sweep_rejects_a_partial_ranking_as_the_reference_does(strata, samples):
+    def unranking(kappa):
+        return Ranking(strata)
+
+    with pytest.raises(ValueError) as swept:
+        run_interaction_suite(2, 1, unranking, samples)
+    with pytest.raises(ValueError) as reference:
+        _interaction_reference(2, 1, unranking, samples, 0)
+    assert str(swept.value) == str(reference.value)
+    assert str(swept.value).startswith("state index ")
 
 
 def _i1i2_reference(op, assign, ts):

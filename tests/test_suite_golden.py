@@ -9,8 +9,9 @@ digests pin little beyond the summary line.  To pin which instances are
 drawn and in which order violations are listed, the second half swaps the
 iterated revision the suites call for deliberately broken operators; between
 them they violate each of L2, L3, L4*, L5*, L6*, L7 and DP1, DP2, DP4, REC.
-The last two tests give the AGM and interaction suites rankings that are not
-faithful, so that their violation lists are pinned too.
+The last three tests give the AGM and interaction suites rankings that are
+not faithful, so that their violation lists, sampled streams included, are
+pinned too.
 """
 
 import hashlib
@@ -37,6 +38,7 @@ def _cli_cases():
         ["check", "--suite", "dp", "--fluents", "1"],
         ["check", "--suite", "i1i2", "--fluents", "1"],
         ["check", "--suite", "interaction", "--fluents", "1"],
+        ["check", "--suite", "interaction", "--fluents", "3", "--samples", "500", "--seed", "1"],
         ["check", "--suite", "agm", "--fluents", "2"],
         ["counterexample", "lehmann"],
     ]
@@ -65,6 +67,10 @@ CLI_DIGESTS: dict[str, tuple[str, str]] = {
     "check --suite interaction --fluents 1": (
         "f671b2bde3c1d27a17ac589fd212cfa36ffb886a57fdc8457a6e7d853426b676",
         "54681aa6af6fb883719e018fe9feeb8dbe6922efddd3aa09c4e792e5052fbc94",
+    ),
+    "check --suite interaction --fluents 3 --samples 500 --seed 1": (
+        "1673fecd3778d9132b612f77e82a069dec9d07c26e0b3bef428bc8b4ac84fcdb",
+        "43e8efe6705d85d1067b968592f09a77aecdeda49d8c023abbadfeb228a14adc",
     ),
     "check --suite agm --fluents 2": (
         "dcc6012a5842bae104ebc107b46974fb986d5e05dbf07863be7c5fecc32911ba",
@@ -317,4 +323,24 @@ def test_interaction_digest_under_unfaithful_ranking():
 INTERACTION_UNFAITHFUL_DIGEST = (
     "a51676267bffec2f87d47fe8f54817936a06c42ed967dae1c8e51efddf3312b3",
     48,
+)
+
+
+def test_interaction_digest_sampled_under_flat_ranking():
+    # Every state equally plausible, so the sampled stream has violations.
+    sig = postulates.suite_signature(2)
+
+    def flat(kappa):
+        return Ranking(((1 << sig.num_states) - 1,))
+
+    rep = postulates.run_interaction_suite(fluents=2, samples=2000, seed=4, assign=flat)
+    machine = json.dumps(rep.to_data(), indent=2)
+    assert (_sha(machine + "\n" + rep.render_text()), len(rep.violations)) == (
+        INTERACTION_SAMPLED_FLAT_DIGEST
+    )
+
+
+INTERACTION_SAMPLED_FLAT_DIGEST = (
+    "dc5e4ee00cfd90008b51073d1843b07110583514ab25b19f06f4238db4c54a77",
+    628,
 )

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given
@@ -11,6 +13,8 @@ from bevo import (
     update,
     update_seq,
 )
+
+from bevo.kernel import _image, _members
 
 from conftest import state_of
 
@@ -118,3 +122,26 @@ def test_deterministic_updates_are_functions(ts):
     if ts.deterministic:
         for s in range(4):
             assert len(update(frozenset((s,)), "a", ts)) == 1
+
+
+def test_image_matches_update_on_every_two_fluent_system():
+    for succ in product(range(4), repeat=4):
+        ts = complete_transitions(_SIG, [(s, "a", d) for s, d in enumerate(succ)])
+        for mask in range(16):
+            assert _members(_image(mask, succ)) == update(_members(mask), "a", ts)
+
+
+@st.composite
+def _functions_and_masks(draw):
+    """A successor function over 1 to 8 fluents and a mask of its states."""
+    n = draw(st.integers(1, 8))
+    succ = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+    return n, tuple(succ), draw(st.integers(0, (1 << (1 << n)) - 1))
+
+
+@given(_functions_and_masks())
+def test_image_matches_update(case):
+    n, succ, mask = case
+    sig = make_signature([f"f{k}" for k in range(n)], ("a",))
+    ts = complete_transitions(sig, [(s, "a", d) for s, d in enumerate(succ)])
+    assert _members(_image(mask, succ)) == update(_members(mask), "a", ts)
