@@ -21,7 +21,9 @@ Transition systems are total by construction: every (state, action) pair has
 at least one successor.  The reserved action "noop" always behaves as the
 identity and cannot be redefined.  The system is the one place that rejects
 an unknown action (``successors``, ``successor_map``) and, through
-``_listed_rows``, a bad transition triple.  ``_require_deterministic`` states
+``TransitionSystem._build``, which both constructors share, a bad triple.
+It stores each action's least successor per state, plus the other
+successors of the states that have more.  ``_require_deterministic`` states
 when an operation needs a deterministic system.
 """
 
@@ -322,111 +324,103 @@ class TransitionSystem:
     ``TransitionSystem(sig, relation)`` takes (source, action, target)
     triples that must cover every (state, action) pair; rows for the noop
     action must be exactly the identity.  Use :func:`complete_transitions`
-    to build one from a partial description.  Only the per-action successor
-    tables are stored; ``relation`` is derived from them on first use.
+    to build one from a partial description.  The relation is stored once:
+    ``_succ[a][s]`` is the least successor of state s under action a, and
+    ``_more[a, s]`` the sorted other successors of s where it has any, so a
+    deterministic system has an empty ``_more``.  ``relation`` is derived
+    from the two on first use.
     """
 
     signature: Signature
-    _succ_sets: dict[str, tuple[StateSet, ...]] = field(repr=False)
-    _succ_fun: dict[str, tuple[int, ...]] | None = field(repr=False, compare=False)
+    _succ: dict[str, tuple[int, ...]] = field(repr=False)
+    _more: dict[tuple[str, int], tuple[int, ...]] = field(repr=False)
 
     def __init__(
         self, signature: Signature, relation: Iterable[tuple[int, str, int]]
     ) -> None:
-        listed = _listed_rows(signature, relation)
-        for a in signature.actions:
-            for src in range(signature.num_states):
-                if (a, src) not in listed:
+        self._build(signature, relation, fill=False)
+
+    def _build(
+        self, signature: Signature, triples: Iterable[tuple[int, str, int]], fill: bool
+    ) -> None:
+        """Store the triples, each one checked; a pair no triple lists gets a
+        self-loop under ``fill`` and is an error otherwise."""
+        n = signature.num_states
+        rows = {a: [-1] * n for a in signature.actions}
+        extra: dict[tuple[str, int], set[int]] = {}
+        for src, act, dst in triples:
+            try:
+                row = rows[act]
+            except (KeyError, TypeError):  # TypeError: an unhashable action
+                raise ValueError(f"unknown action {act!r} in transition") from None
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(f"transition ({src}, {act!r}, {dst}) out of range")
+            if act == NULL_ACTION and src != dst:
+                raise ValueError(
+                    f"the {NULL_ACTION} action must be the identity, got ({src}, {dst})"
+                )
+            first = row[src]
+            if first < 0:
+                row[src] = dst
+            elif first != dst:
+                extra.setdefault((act, src), {first}).add(dst)
+        more = {}
+        for (a, s), targets in extra.items():
+            rows[a][s], *rest = sorted(targets)
+            more[a, s] = tuple(rest)
+        for a, row in rows.items():
+            if -1 in row:
+                if not fill:
                     raise ValueError(
-                        f"no successor for state {src} under action {a!r}; "
+                        f"no successor for state {row.index(-1)} under action {a!r}; "
                         "use complete_transitions to fill in self-loops"
                     )
-        self._set_tables(signature, _tables(signature, listed))
-
-    def _set_tables(
-        self, signature: Signature, succ_sets: dict[str, tuple[StateSet, ...]]
-    ) -> None:
-        succ_fun = None
-        if all(max(map(len, rows)) == 1 for rows in succ_sets.values()):
-            succ_fun = {a: tuple(map(min, rows)) for a, rows in succ_sets.items()}
+                rows[a] = [s if t < 0 else t for s, t in enumerate(row)]
         object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "_succ_sets", succ_sets)
-        object.__setattr__(self, "_succ_fun", succ_fun)
+        object.__setattr__(self, "_succ", {a: tuple(row) for a, row in rows.items()})
+        object.__setattr__(self, "_more", more)
 
     def __hash__(self) -> int:
-        return hash((self.signature, tuple(self._succ_sets.items())))
+        # The order of _more follows the triples, so it is hashed as a set.
+        return hash(
+            (self.signature, tuple(self._succ.items()), frozenset(self._more.items()))
+        )
 
     @cached_property
     def relation(self) -> frozenset[tuple[int, str, int]]:
         """Every (source, action, target) triple of the system."""
         return frozenset(
-            (src, a, dst)
-            for a, rows in self._succ_sets.items()
-            for src, row in enumerate(rows)
-            for dst in row
-        )
+            (s, a, t) for a, succ in self._succ.items() for s, t in enumerate(succ)
+        ).union((s, a, t) for (a, s), more in self._more.items() for t in more)
 
     @property
     def deterministic(self) -> bool:
-        return self._succ_fun is not None
+        return not self._more
 
-    def _successor_sets(self, action: str) -> tuple[StateSet, ...]:
-        """The successor table of an action, indexed by state."""
+    def _least_successors(self, action: str) -> tuple[int, ...]:
+        """Each state's least successor under an action, indexed by state."""
         try:
-            return self._succ_sets[action]
+            return self._succ[action]
         except KeyError:
             raise ValueError(f"unknown action {action!r}") from None
 
     def successors(self, state: int, action: str) -> StateSet:
         """All states reachable from ``state`` by one step of ``action``."""
-        rows = self._successor_sets(action)
+        succ = self._least_successors(action)
         if not 0 <= state < self.signature.num_states:
             raise ValueError(f"state index {state} out of range")
-        return rows[state]
+        return frozenset((succ[state], *self._more.get((action, state), ())))
 
     def successor_map(self, action: str) -> tuple[int, ...]:
         """The one-step successor function of an action; deterministic only."""
         _require_deterministic(self)
-        try:
-            return self._succ_fun[action]
-        except KeyError:
-            raise ValueError(f"unknown action {action!r}") from None
+        return self._least_successors(action)
 
 
 def _require_deterministic(ts: TransitionSystem) -> None:
     """Reject a nondeterministic system: the one statement of the rule."""
-    if ts._succ_fun is None:
+    if ts._more:
         raise ValueError("this operation requires a deterministic transition system")
-
-
-def _listed_rows(
-    sig: Signature, triples: Iterable[tuple[int, str, int]]
-) -> dict[tuple[str, int], set[int]]:
-    """The successors each (action, source) pair lists, every triple checked."""
-    n = sig.num_states
-    listed: dict[tuple[str, int], set[int]] = {}
-    for src, act, dst in triples:
-        if act not in sig.actions:
-            raise ValueError(f"unknown action {act!r} in transition")
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"transition ({src}, {act!r}, {dst}) out of range")
-        if act == NULL_ACTION and src != dst:
-            raise ValueError(
-                f"the {NULL_ACTION} action must be the identity, got ({src}, {dst})"
-            )
-        listed.setdefault((act, src), set()).add(dst)
-    return listed
-
-
-def _tables(
-    sig: Signature, listed: dict[tuple[str, int], set[int]]
-) -> dict[str, tuple[StateSet, ...]]:
-    """Per action, the successor table: the listed rows, self-loops elsewhere."""
-    loops = tuple(frozenset((s,)) for s in range(sig.num_states))
-    tables = {a: list(loops) for a in sig.actions}
-    for (act, src), row in listed.items():
-        tables[act][src] = frozenset(row)
-    return {a: tuple(t) for a, t in tables.items()}
 
 
 def complete_transitions(
@@ -439,5 +433,5 @@ def complete_transitions(
     triples are rejected unless they are identity loops.
     """
     ts = TransitionSystem.__new__(TransitionSystem)
-    ts._set_tables(sig, _tables(sig, _listed_rows(sig, triples)))
+    ts._build(sig, triples, fill=True)
     return ts

@@ -271,9 +271,8 @@ class _Suite(NamedTuple):
     """A suite's runner and default scope, as listed in ``_SUITES``."""
 
     run: Callable[..., SuiteReport]
-    fluents: int  # default fluent count
-    cap: int  # most fluents swept exhaustively
-    fallback: Optional[int] = None  # samples drawn above the cap by default
+    fluents: int  # default fluent count, and the most swept exhaustively
+    fallback: Optional[int] = None  # samples drawn above that by default
     with_action: bool = False
     sampled: bool = True  # whether the suite can draw a seeded sample
 
@@ -286,10 +285,10 @@ def _suite_scope(
     if samples is not None and samples < 1:
         raise ValueError(f"the sample count must be at least 1, got {samples}")
     sig = suite_signature(spec.fluents if fluents is None else fluents, spec.with_action)
-    if samples is None and len(sig.fluents) > spec.cap:
+    if samples is None and len(sig.fluents) > spec.fluents:
         if spec.fallback is None:
             hint = "; set samples" if spec.sampled else ""
-            raise ValueError(f"the exhaustive {name} suite is capped at {spec.cap} fluents{hint}")
+            raise ValueError(f"the exhaustive {name} suite is capped at {spec.fluents} fluents{hint}")
         samples = spec.fallback
     return sig, cache(assign if assign is not None else dalal_assignment(sig)), samples
 
@@ -652,8 +651,8 @@ def check_dp(
     under recency: conflicting evidence keeps the more recent observation.
     Quantifies over non-empty belief states and non-empty observations.
     """
-    nonempty = state_sets(sig, include_empty=False)
     if samples is None:
+        nonempty = state_sets(sig, include_empty=False)
         triples: Iterator[tuple[StateSet, ...]] = product(nonempty, repeat=3)
     else:
         rng = random.Random(seed)
@@ -810,8 +809,7 @@ def check_lehmann(
     ``samples`` single draws.  Each beta value counts as one instance.
     """
     _require_length("max_len", max_len)
-    full, every = universe(sig), state_sets(sig)
-    nonempty = every[1:]
+    full = universe(sig)
     vios: list[Violation] = []
     count = 0
 
@@ -826,6 +824,8 @@ def check_lehmann(
     if samples is None:
         if max_len > 3:
             raise ValueError("the exhaustive sequence sweep is capped at length 3")
+        every = state_sets(sig)
+        nonempty = every[1:]
         fins = {k: cache(partial(iterated_revise, k, sig=sig, assign=assign)) for k in nonempty}
         for law in _LEHMANN:
             # Prefixes as long as leave room for what the law appends.
@@ -968,11 +968,11 @@ def lehmann_counterexample() -> CounterexampleReport:
 
 
 _SUITES = {
-    "interaction": _Suite(run_interaction_suite, 2, 2, with_action=True),
-    "agm": _Suite(run_agm_suite, 3, 3, sampled=False),
-    "dp": _Suite(run_dp_suite, 2, 2, fallback=20000),
-    "lehmann": _Suite(run_lehmann_suite, 2, 2, fallback=20000),
-    "i1i2": _Suite(run_i1i2_suite, 2, 2, with_action=True),
+    "interaction": _Suite(run_interaction_suite, 2, with_action=True),
+    "agm": _Suite(run_agm_suite, 3, sampled=False),
+    "dp": _Suite(run_dp_suite, 2, fallback=20000),
+    "lehmann": _Suite(run_lehmann_suite, 2, fallback=20000),
+    "i1i2": _Suite(run_i1i2_suite, 2, with_action=True),
 }
 
 

@@ -101,7 +101,8 @@ def dalal_assignment(sig: Signature) -> RankingAssignment:
 
 
 def min_states(alpha: Iterable[int], ranking: Ranking) -> StateSet:
-    """The minimal-rank members of ``alpha``; unranked states are skipped."""
+    """The minimal-rank members of ``alpha``, unranked states skipped: the
+    paper's Min operation, kept public as such though no library path calls it."""
     return _members(_least(_mask(alpha), ranking))
 
 

@@ -17,12 +17,15 @@ ActionTrajectory = Sequence[str]
 
 def update(kappa: Iterable[int], action: str, ts: TransitionSystem) -> StateSet:
     """One-step update: the image of ``kappa`` under a known ``action``."""
-    rows = ts._successor_sets(action)
+    succ = ts._least_successors(action)
+    more = ts._more
     out: set[int] = set()
     for s in kappa:
-        if not 0 <= s < len(rows):
+        if not 0 <= s < len(succ):
             raise ValueError(f"state index {s} out of range")
-        out |= rows[s]
+        out.add(succ[s])
+        if more and (action, s) in more:
+            out.update(more[action, s])
     return frozenset(out)
 
 

@@ -5,7 +5,8 @@ match and sends every other line through the ``_Cursor`` grammar.  The
 reference below decodes every transition line with ``_Cursor``; the two must
 agree on the document or on the error (message, line and column).
 ``complete_transitions`` fills successor tables directly and is checked
-against the definitional relation and the public constructor.
+against the definitional relation and the public constructor; the stored
+form of both is checked against a dict-of-sets model of the triples.
 """
 
 import itertools
@@ -23,6 +24,8 @@ from bevo import (
     make_signature,
     parse_domain,
     serialize_domain,
+    update,
+    update_seq,
 )
 from bevo import dsl
 from bevo.dsl import DomainDoc
@@ -197,6 +200,59 @@ def test_complete_transitions_matches_constructor(triples):
             assert again.successors(s, a) == ts.successors(s, a)
         if ts.deterministic:
             assert again.successor_map(a) == ts.successor_map(a)
+
+
+@st.composite
+def _listed_systems(draw):
+    """A signature of 0-3 fluents and two actions, triples giving each
+    (state, action) pair 0-4 successors, and a shuffled copy of the triples
+    with duplicates."""
+    n = draw(st.integers(0, 3))
+    sig = make_signature([f"f{k}" for k in range(n)], ("a", "b"))
+    states = st.integers(0, sig.num_states - 1)
+    triples = [
+        (s, a, d)
+        for a in ("a", "b")
+        for s in range(sig.num_states)
+        for d in draw(st.sets(states, max_size=4))
+    ]
+    again = list(triples)
+    if triples:
+        again += draw(st.lists(st.sampled_from(triples), max_size=6))
+    return sig, triples, draw(st.permutations(again))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_listed_systems(), st.data())
+def test_stored_form_matches_dict_of_sets(listed, data):
+    sig, triples, shuffled = listed
+    model: dict = {}
+    for s, a, d in _definitional(sig, triples):
+        model.setdefault((a, s), set()).add(d)
+    n = sig.num_states
+    ts = complete_transitions(sig, triples)
+    assert ts.relation == {(s, a, d) for (a, s), row in model.items() for d in row}
+    assert ts.deterministic == all(len(row) == 1 for row in model.values())
+    for a in sig.actions:
+        for s in range(n):
+            assert ts.successors(s, a) == model[a, s]
+        if ts.deterministic:
+            assert ts.successor_map(a) == tuple(min(model[a, s]) for s in range(n))
+    kappa = data.draw(st.frozensets(st.integers(0, n - 1)))
+    acts = data.draw(st.lists(st.sampled_from(sig.actions), max_size=3))
+    expected = set(kappa)
+    for a in acts:
+        step = {d for s in expected for d in model[a, s]}
+        assert update(expected, a, ts) == step
+        expected = step
+    assert update_seq(kappa, acts, ts) == expected
+    full = list(ts.relation)
+    for other in (
+        complete_transitions(sig, shuffled),
+        TransitionSystem(sig, data.draw(st.permutations(full + full[:3]))),
+    ):
+        assert other == ts
+        assert hash(other) == hash(ts)
 
 
 def test_complete_transitions_exhaustive_one_fluent():

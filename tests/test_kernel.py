@@ -205,8 +205,12 @@ def test_complete_transitions_rejects_out_of_range(tiny_sig):
 
 def test_transition_system_requires_totality(tiny_sig):
     rel = frozenset({(s, NULL_ACTION, s) for s in range(4)} | {(0, "a", 1)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         TransitionSystem(tiny_sig, rel)
+    assert str(err.value) == (
+        "no successor for state 1 under action 'a'; "
+        "use complete_transitions to fill in self-loops"
+    )
 
 
 def test_deterministic_flag(tiny_sig):

@@ -204,6 +204,16 @@ def test_run_lehmann_suite_sampled_path():
     assert rep.instances == 200
 
 
+def test_sampled_dp_and_lehmann_never_build_every_state_set(monkeypatch):
+    # At 4 fluents the power set has 65,536 members; a sampled run needs none.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled run built every subset of the states")
+
+    monkeypatch.setattr(postulates, "state_sets", refuse)
+    for name in ("dp", "lehmann"):
+        assert run_suite(name, fluents=4, samples=10, seed=0).instances == 10
+
+
 def test_lehmann_counterexample_frozen():
     rep = lehmann_counterexample()
     assert isinstance(rep, CounterexampleReport)
