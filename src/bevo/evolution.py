@@ -20,7 +20,9 @@ bit i for position i: it is consistent exactly when the AND of its
 observations' masks is non-zero.  When their reliability levels are
 pairwise distinct (recency, primacy, distinct weights) the preferred repair
 is found greedily, most reliable first, in one AND per observation.  Other
-orders sweep the lattice of kept sets, capped at ``MAX_REPAIR_POSITIONS``.
+orders split the initial states by the kept set each one witnesses, in at
+most k * min(N, 2^k) mask steps for k positions and N states, and keep the
+maximal sets.
 
 All operations here require a deterministic transition system.
 """
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
 from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -54,9 +55,9 @@ BeliefTrajectory = tuple[StateSet, ...]
 # levels are more reliable.
 ReliabilityFunction = Callable[[int], tuple[int, ...]]
 
-# Above this many repairable observations the weakening lattice (2^n) is not
-# worth exploring.  Only orders with tied levels sweep it; injective orders
-# repair greedily at any length.
+# Orders with tied levels reject views with more repairable observations than
+# this.  The witness search does not need the cap; it stays so that behaviour
+# is unchanged.  Injective orders repair greedily at any length.
 MAX_REPAIR_POSITIONS = 20
 
 
@@ -217,19 +218,22 @@ def minimal_repair_candidates(
             f"{len(masks)} repairable observations; "
             f"the repair search is capped at {MAX_REPAIR_POSITIONS}"
         )
-    everything = _meet((), ts)
-    accepted: list[int] = []  # kept sets, bit i for position i
-    # Decreasing retained size: every consistent set met here is either
-    # contained in an accepted maximal one or is itself maximal.
-    for k in range(len(masks), -1, -1):
-        for kept in combinations(masks, k):
-            core = everything
-            bits = 0
-            for i in kept:
-                core &= masks[i]
-                bits |= 1 << i
-            if core and not any(bits & a == bits for a in accepted):
-                accepted.append(bits)
+    # Part the initial states by the kept set (bit i for position i) each one
+    # satisfies: a kept set is consistent exactly when it lies under a key.
+    parts = {0: _meet((), ts)}
+    for i, m in masks.items():
+        split = {}
+        for kept, states in parts.items():
+            inside = states & m
+            for key, part in ((kept | 1 << i, inside), (kept, states ^ inside)):
+                if part:
+                    split[key] = part
+        parts = split
+    accepted: list[int] = []
+    # Decreasing size: a key is maximal unless an accepted one contains it.
+    for bits in sorted(parts, key=int.bit_count, reverse=True):
+        if not any(bits & a == bits for a in accepted):
+            accepted.append(bits)
     out = [_weakened(view.observations, bits, full) for bits in accepted]
     out.sort(key=lambda obs: [sorted(o) for o in obs])
     return tuple(out)
@@ -459,7 +463,7 @@ def iterated_revise(
     everything = (1 << sig.num_states) - 1
     core = reduce(and_, masks.values(), everything)
     if not core:
-        # Tied levels need the repair lattice.
+        # Tied levels need the candidate search.
         levels = r(len(obs))
         if len({levels[i] for i in masks}) == len(masks):
             core = _greedy(masks, levels, everything)[0]

@@ -651,14 +651,15 @@ def check_dp(
     under recency: conflicting evidence keeps the more recent observation.
     Quantifies over non-empty belief states and non-empty observations.
     """
+    rev = partial(revise, assign=assign)
     if samples is None:
         nonempty = state_sets(sig, include_empty=False)
         triples: Iterator[tuple[StateSet, ...]] = product(nonempty, repeat=3)
+        rev = cache(rev)  # only the exhaustive sweep repeats (kappa, alpha)
     else:
         rng = random.Random(seed)
         size = 1 << sig.num_states
         triples = (tuple(_members(rng.randrange(1, size)) for _ in range(3)) for _ in range(samples))
-    rev = cache(partial(revise, assign=assign))
     vios: list[Violation] = []
     count = 0
     for kappa, beta, alpha in triples:

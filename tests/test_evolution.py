@@ -245,8 +245,24 @@ def test_repair_search_cap(tiny_sig):
         minimal_repair_candidates(view, ts)
 
 
+def test_repair_search_at_the_cap(tiny_sig):
+    """Twenty tied observations cycling over the four states: one candidate per state."""
+    ts = complete_transitions(tiny_sig, ())
+    n = MAX_REPAIR_POSITIONS
+    obs = tuple(frozenset((i % 4,)) for i in range(n))
+    view = WorldView(("noop",) * n, obs)
+    full = universe(tiny_sig)
+    # Keeping the positions congruent to j mod 4, sorted by the first
+    # position that differs: j = 0 keeps {0} there, the others discard it.
+    expected = tuple(
+        tuple(o if i % 4 == j else full for i, o in enumerate(obs)) for j in (0, 3, 2, 1)
+    )
+    assert minimal_repair_candidates(view, ts) == expected
+    assert repairs(view, ts, constant) == expected
+
+
 def test_repairs_recency_has_no_cap(tiny_sig):
-    """Injective orders repair greedily, past the lattice cap."""
+    """Injective orders repair greedily, past the search cap."""
     ts = complete_transitions(tiny_sig, ())
     n = 40
     obs = tuple(frozenset((i % 2,)) for i in range(n))

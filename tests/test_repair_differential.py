@@ -5,8 +5,9 @@ step, finds the maximal consistent kept sets by brute force over all subsets
 of the repairable positions, and keeps those no other beats in the
 reliability order.  ``consistent``, ``minimal_repair_candidates``,
 ``repairs`` and ``evolve`` must agree with it, exhaustively over every
-2-fluent one-action system with views of length at most 2, and on sampled
-views at 3 and 4 fluents.
+2-fluent one-action system with views of length at most 2, on sampled
+views at 3 and 4 fluents, and on sampled views with 9-12 repairable
+positions at 0-2 fluents under tied orders.
 """
 
 from itertools import combinations, product
@@ -161,3 +162,28 @@ def _systems_and_views(draw):
 def test_sampled_three_and_four_fluents(case):
     ts, view, kappa, weights = case
     _check(view, ts, kappa, (recency, _primacy, constant, weights))
+
+
+@st.composite
+def _long_tied_views(draw):
+    """Views with 9-12 repairable positions at 0-2 fluents, plus up to two trivial ones."""
+    sig = make_signature(("p", "q")[: draw(st.integers(0, 2))], ("a",))
+    size = sig.num_states
+    full = universe(sig)
+    targets = st.lists(st.integers(0, size - 1), min_size=size, max_size=size)
+    succ = draw(st.one_of(st.just(range(size)), targets))  # identity or random
+    ts = complete_transitions(sig, [(s, "a", t) for s, t in enumerate(succ)])
+    obs = draw(st.lists(st.sampled_from(state_sets(sig)[:-1]), min_size=9, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        obs.insert(draw(st.integers(0, len(obs))), full)
+    kappa = frozenset(draw(st.sets(st.integers(0, size - 1), min_size=1)))
+    weights = draw(st.lists(st.integers(0, 1), min_size=len(obs), max_size=len(obs)))
+    return ts, WorldView(("a",) * len(obs), tuple(obs)), kappa, fixed_weights(weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_long_tied_views())
+def test_sampled_long_views_under_tied_orders(case):
+    """Long views reach the candidate search under every tied order."""
+    ts, view, kappa, weights = case
+    _check(view, ts, kappa, (constant, _tied, weights))
