@@ -26,6 +26,7 @@ from typing import Any, Callable, Container, Iterable, Iterator, Union
 from .kernel import (
     _NAME,
     _mask,
+    _sorted_names,
     NULL_ACTION,
     And,
     Atom,
@@ -44,7 +45,6 @@ from .kernel import (
     models,
     signature_data,
     state_index,
-    states_data,
     universe,
 )
 from .revision import Ranking, RankingAssignment
@@ -363,19 +363,19 @@ class DomainDoc:
     strict: bool = False
 
 
-# One well-formed ``transition ACT: {F,...} -> {F,...}`` line, in exactly
-# the grammar _Cursor accepts: spaces and tabs only, ASCII names.  The groups
-# are the action and the inner text of each state literal (None for ``{}``).
-_N = _NAME.pattern
-_LITERAL = rf"\{{[ \t]*(?:({_N}(?:[ \t]*,[ \t]*{_N})*)[ \t]*)?\}}"
+# The shape of a ``transition ACT: {...} -> {...}`` line, spaces and tabs
+# only.  The groups are the action token and the inner text of each state
+# literal; they are names only once the lookups in parse_domain find them.
 _TRANSITION_LINE = re.compile(
-    rf"[ \t]*transition[ \t]+({_N})[ \t]*:[ \t]*{_LITERAL}[ \t]*->[ \t]*{_LITERAL}[ \t]*"
+    r"[ \t]*transition[ \t]+([^ \t:]+)[ \t]*:[ \t]*\{([^{}]*)\}[ \t]*->[ \t]*\{([^{}]*)\}[ \t]*"
 )
 
 
 def _literal_state(inner: str, sig: Signature) -> int:
-    """The state a literal's inner text names, or -1 if it names an
-    unknown fluent or one fluent twice."""
+    """The state a literal's inner text names, or -1 unless it is blank or
+    a comma-separated list of distinct fluents, spaces and tabs allowed."""
+    if not inner.strip(" \t"):
+        return 0
     state = 0
     for name in inner.split(","):
         bit = sig._bits.get(name.strip(" \t"), 0)
@@ -402,22 +402,23 @@ def parse_domain(text: str) -> DomainDoc:
     sources: set[tuple[str, int]] = set()
     duplicate: ParseError | None = None
     seen: set[str] = set()
-    # Each distinct literal text, decoded once per parse.
-    states: dict[str | None, int] = {None: 0}
 
     for lineno, raw in lines:
-        # Transition lines the pattern accepts skip the cursor; any other
-        # line, malformed ones included, goes through the cursor grammar so
-        # that every ParseError keeps its message and position.
+        # Transition lines the pattern and the lookups accept skip the
+        # cursor; any other line, malformed ones included, goes through the
+        # cursor grammar so that every ParseError keeps its message and
+        # position.
         m = _TRANSITION_LINE.fullmatch(raw) if sig is not None else None
         if m is not None:
             act, src_text, dst_text = m.groups()
-            src = states.get(src_text)
+            # Canonical literals are found whole; only others are decoded.
+            table = sig._literal_states
+            src = table.get(src_text)
             if src is None:
-                src = states[src_text] = _literal_state(src_text, sig)
-            dst = states.get(dst_text)
+                src = _literal_state(src_text, sig)
+            dst = table.get(dst_text)
             if dst is None:
-                dst = states[dst_text] = _literal_state(dst_text, sig)
+                dst = _literal_state(dst_text, sig)
             if src < 0 or dst < 0 or act == NULL_ACTION or act not in sig.actions:
                 m = None
         if m is None:
@@ -826,18 +827,22 @@ def machine_text(doc: object) -> str:
         if isinstance(obj, (list, tuple)):
             if not obj:
                 return "[]"
-            inner = pad + "  "
-            if isinstance(obj[0], str):
-                try:
-                    body = (",\n" + inner).join(map(_escape, obj))
-                    return "[\n" + inner + body + "\n" + pad + "]"
-                except TypeError:  # a later item is not a string
-                    pass
             key = (id(obj), len(pad))
             text = memo.get(key)
-            if text is None:
-                body = (",\n" + inner).join([write(x, inner) for x in obj])
-                text = memo[key] = "[\n" + inner + body + "\n" + pad + "]"
+            if text is not None:
+                return text
+            inner = pad + "  "
+            sep = ",\n" + inner
+            body = None
+            if isinstance(obj[0], str):
+                try:
+                    body = sep.join(map(_escape, obj))
+                except TypeError:  # a later item is not a string
+                    pass
+            if body is None:
+                body = sep.join([write(x, inner) for x in obj])
+            # One f-string makes one copy of the body, where + makes several.
+            text = memo[key] = f"[\n{inner}{body}\n{pad}]"
             return text
         if isinstance(obj, dict):
             if not obj:
@@ -848,18 +853,25 @@ def machine_text(doc: object) -> str:
                 if not isinstance(k, str):
                     raise TypeError(f"keys must be str, not {type(k).__name__}")
                 items.append(_escape(k) + ": " + write(v, inner))
-            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+            body = (",\n" + inner).join(items)
+            return f"{{\n{inner}{body}\n{pad}}}"
         return json.dumps(obj)  # other scalars; TypeError for any other type
 
-    return write(doc, "") + "\n"
+    text = write(doc, "") + "\n"
+    # write refers to itself, so the memo would otherwise outlive the call
+    # until the cycle collector runs.
+    memo.clear()
+    return text
 
 
 def sequences_data(sig: Signature, seqs: Iterable[Iterable[StateSet]]) -> list:
     """Machine encoding of state-set sequences: repaired views, trajectories.
 
-    Equal state sets share one list object, so the document is read-only.
+    Equal state sets share one list object, and so do equal states, so the
+    document is read-only.
     """
-    data = cache(lambda k: states_data(sig, k))
+    row = cache(list)  # one list per state: its tuple of true fluents
+    data = cache(lambda k: [row(t) for t in _sorted_names(sig, k)])
     return [[data(k) for k in seq] for seq in seqs]
 
 

@@ -10,8 +10,10 @@ two; ``_state_mask`` is ``_mask`` for a set from outside the package, with
 each index checked, and ``_image`` maps a mask through a successor function.
 A ranking is a tuple of masks, one per stratum.
 Fluent names become a state through one table, ``Signature._bits``, which
-``state_index`` and every reader in ``dsl`` share.  Other helpers convert
-between indices, fluent sets, and display strings.
+``state_index`` and every reader in ``dsl`` share; a literal written
+canonically, true fluents in declaration order, is also found whole in
+``Signature._literal_states``.  Other helpers convert between indices,
+fluent sets, and display strings.
 
 A fluent or action name matches ``_NAME``, the one name rule that
 ``make_signature`` and every reader and writer in ``dsl`` share, so any
@@ -89,6 +91,11 @@ class Signature:
         for f in self.fluents:
             names += [t + (f,) for t in names]
         return tuple(names)
+
+    @cached_property
+    def _literal_states(self) -> dict[str, int]:
+        """Each state by its literal's canonical inner text: ``"f0,f2"`` → 5."""
+        return {",".join(t): s for s, t in enumerate(self._true_names)}
 
 
 def _check_name(name: str, kind: str) -> None:
@@ -396,6 +403,15 @@ class TransitionSystem:
     @property
     def deterministic(self) -> bool:
         return not self._more
+
+    def _reach(self, action: str) -> int:
+        """The mask of every state's least successor under an action (all it
+        reaches, in a deterministic system), built once per action and kept
+        beside the fields like ``relation``."""
+        reached = self.__dict__.setdefault("_reached", {})
+        if action not in reached:
+            reached[action] = _mask(self._least_successors(action))
+        return reached[action]
 
     def _least_successors(self, action: str) -> tuple[int, ...]:
         """Each state's least successor under an action, indexed by state."""

@@ -8,8 +8,9 @@ the nearest believed state (Dalal's measure), built layer by layer on masks.
 
 Rankings can also be pushed forward through an action of a deterministic
 transition system: a state reachable by the action inherits the best rank of
-its predecessors.  ``combined_change`` uses that shifted ranking to apply an
-action and an observation in one step.
+its predecessors.  ``combined_change`` applies an action and an observation
+in one step under that shifted ranking, pushing strata forward only until
+one reaches the observation.
 
 State sets cross the API as frozensets and become masks inside, through
 ``kernel._state_mask`` where an index is checked against the signature.
@@ -159,8 +160,15 @@ def combined_change(
     if not kappa:
         raise ValueError("cannot change an empty belief state")
     observed = _state_mask(alpha, ts.signature.num_states)
-    if _mask(ts.successor_map(action)) & observed:
+    succ = ts.successor_map(action)
+    if ts._reach(action) & observed:
         if assign is None:
             assign = dalal_assignment(ts.signature)
-        return _members(_least(observed, shift_ranking(assign(kappa), action, ts)))
+        # The shifted ranking's first stratum to meet alpha is the first
+        # image that does, as no earlier image holds a state of alpha.
+        for stratum in assign(kappa).strata:
+            hit = _image(stratum, succ) & observed
+            if hit:
+                return _members(hit)
+        return frozenset()
     return update(kappa, action, ts)

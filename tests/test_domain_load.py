@@ -123,9 +123,39 @@ _MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("line", _CANONICAL + _SPACED + _MALFORMED)
+# The fast pattern takes any action token and any brace-free literal body;
+# on these lines the name lookups must then decide as _Cursor does.
+_LOOKED_UP = [
+    "transition a: {f0 ,f1} -> {f1}",
+    "transition a: {\t} -> {f1}",
+    "transition a: {f1} -> {  }",
+    "transition b: {f2,f1,f0} -> {\tf2 ,f0}",
+]
+_LOOKED_UP_MALFORMED = [
+    "transition a: {,} -> {f1}",
+    "transition a: {f0,,f1} -> {f1}",
+    "transition a: {f1} -> { , }",
+    "transition a{: {f0} -> {f1}",
+    "transition a->: {f0} -> {f1}",
+]
+
+
+@pytest.mark.parametrize(
+    "line", _CANONICAL + _SPACED + _MALFORMED + _LOOKED_UP + _LOOKED_UP_MALFORMED
+)
 def test_transition_line_matches_cursor_reference(line):
     _agree(line)
+
+
+@pytest.mark.parametrize("line", _CANONICAL + _SPACED + _LOOKED_UP)
+def test_well_formed_lines_skip_the_cursor(line, monkeypatch):
+    # Every well-formed transition line is read by the pattern and the
+    # lookups alone; the cursor reads only the header.
+    def refuse(self, sig):
+        raise AssertionError(f"cursor read a literal on line {self.line}")
+
+    monkeypatch.setattr(dsl._Cursor, "state_literal", refuse)
+    parse_domain(_HEADER + line + "\n")
 
 
 def test_malformed_lines_are_errors():
@@ -137,6 +167,7 @@ def test_malformed_lines_are_errors():
 _TOKENS = [
     "transition", "transition ", " ", "\t", "\u00a0", "a", "b", "c", "noop",
     ":", "{", "}", ",", "f0", "f1", "f2", "f9", "->", "-", ">", "x", "#",
+    "{,}", "{f0,,f1}", "{f0 ,f1}", "{\t}", "a{", "a->",
 ]
 
 
@@ -165,6 +196,15 @@ def test_whole_domains_match_cursor_reference(lines):
         for a, s, d, w in lines
     )
     assert _outcome(parse_domain, text) == _outcome(_reference, text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 16])
+def test_canonical_literal_table_names_every_state(n):
+    sig = make_signature([f"f{k}" for k in range(n)])
+    table = sig._literal_states
+    assert len(table) == sig.num_states
+    for s in range(sig.num_states):
+        assert table[format_state(sig, s)[1:-1]] == s
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from bevo.dsl import machine_text
+from bevo import EvolutionResult, make_signature
+from bevo.dsl import machine_text, result_from_json, result_to_data, sequences_data
 
 _strings = st.text(
     alphabet=st.one_of(
@@ -70,3 +71,46 @@ def test_a_key_that_is_not_a_string_raises_type_error():
     # json.dumps would write the key as "1"; the machine format never has one.
     with pytest.raises(TypeError):
         machine_text({"signature": {1: "p"}})
+
+
+def test_a_list_of_strings_met_at_two_depths_and_a_mixed_list_met_twice():
+    # The memo holds a list of strings and a list whose later item is not a
+    # string (the join raises TypeError), each met at two depths and twice.
+    names = ["p", "q"]
+    mixed = ["p", 1, None]
+    doc = {"a": [names, mixed, names, mixed], "b": [[names, mixed]], "c": names}
+    assert machine_text(doc) == _reference(doc)
+
+
+@st.composite
+def _results(draw):
+    """A signature of 0-3 fluents and a result over it, evolution or plain
+    trajectory, its state sets drawn from a few so that some repeat."""
+    n = draw(st.integers(0, 3))
+    sig = make_signature([f"f{k}" for k in range(n)], ("a",))
+    sets = draw(st.lists(st.frozensets(st.integers(0, sig.num_states - 1)),
+                         min_size=1, max_size=4))
+    runs = st.lists(st.sampled_from(sets), max_size=4).map(tuple)
+    if draw(st.booleans()):
+        return sig, draw(runs)
+    views = draw(st.lists(runs, min_size=1, max_size=3))
+    trajectories = tuple(draw(runs) for _ in views)
+    return sig, EvolutionResult(draw(st.booleans()), tuple(views), trajectories)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_results(), _strings)
+def test_result_documents_match_the_standard_encoder(case, scenario):
+    sig, res = case
+    doc = result_to_data(res, sig, scenario)
+    text = machine_text(doc)
+    assert text == _reference(doc)
+    # Shared lists must still name each state's own fluents.
+    assert result_from_json(text) == (sig, res)
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_sequences_data_rejects_a_state_out_of_range(bad):
+    sig = make_signature(("p", "q"))
+    with pytest.raises(ValueError, match=f"state index {bad} out of range"):
+        sequences_data(sig, [[frozenset((0,))], [frozenset((1, bad))]])

@@ -17,6 +17,8 @@ from bevo import (
     update,
 )
 
+from bevo.kernel import _mask, _members
+from bevo.revision import _least
 from conftest import state_of
 
 _SIG = make_signature(("p", "q"))
@@ -270,3 +272,41 @@ def test_shift_and_combined_change_match_predecessor_reference(tiny_sig):
                     expected = update(kappa, "a", ts)
                 assert combined_change(kappa, "a", alpha, ts) == expected
     assert systems == 256
+
+
+@st.composite
+def _partial_case(draw):
+    """A deterministic two-action system over 0-3 fluents, a ranking that
+    may leave states unranked and have empty strata, a belief and an
+    observation."""
+    n = draw(st.integers(0, 3))
+    sig = make_signature([f"f{k}" for k in range(n)], ("a", "b"))
+    size = sig.num_states
+    states = st.integers(0, size - 1)
+    succ = {a: draw(st.lists(states, min_size=size, max_size=size)) for a in ("a", "b")}
+    ts = complete_transitions(
+        sig, [(s, a, d) for a, row in succ.items() for s, d in enumerate(row)]
+    )
+    # Each state gets a rank below the stratum count, or none.
+    count = draw(st.integers(1, 4))
+    ranks = draw(st.lists(st.one_of(st.none(), st.integers(0, count - 1)),
+                          min_size=size, max_size=size))
+    strata = tuple(
+        sum(1 << s for s, r in enumerate(ranks) if r == i) for i in range(count)
+    )
+    kappa = draw(st.frozensets(states, min_size=1))
+    alpha = draw(st.frozensets(states))
+    return ts, Ranking(strata), draw(st.sampled_from(("a", "b", "noop"))), kappa, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partial_case())
+def test_combined_change_matches_least_of_shifted_partial_ranking(case):
+    ts, ranking, action, kappa, alpha = case
+    got = combined_change(kappa, action, alpha, ts, lambda k: ranking)
+    observed = _mask(alpha)
+    if _mask(ts.successor_map(action)) & observed:
+        expected = _members(_least(observed, shift_ranking(ranking, action, ts)))
+    else:
+        expected = update(kappa, action, ts)
+    assert got == expected
