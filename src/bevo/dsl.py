@@ -330,7 +330,7 @@ def _raw_lines(text: str) -> Iterator[tuple[int, str]]:
         hash_at = raw.find("#")
         if hash_at != -1:
             raw = raw[:hash_at]
-        if raw.strip():
+        if raw and not raw.isspace():
             yield i, raw
 
 
@@ -724,8 +724,10 @@ def parse_ranking(text: str) -> RankingDoc:
             raise ParseError(
                 f"no rank given for state {format_state(sig, s)}", 1, 1
             )
-    values = sorted(set(ranks.values()))
-    ranking = Ranking(tuple(_mask(s for s in ranks if ranks[s] == v) for v in values))
+    strata: dict[int, list[int]] = {}
+    for s, v in ranks.items():
+        strata.setdefault(v, []).append(s)
+    ranking = Ranking(tuple(_mask(strata[v]) for v in sorted(strata)))
     if ranking.base != base:
         raise ParseError(
             "ranking is not faithful: base states must share the unique "

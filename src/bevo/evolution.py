@@ -39,6 +39,7 @@ from .kernel import (
     Signature,
     StateSet,
     TransitionSystem,
+    _indicator_mask,
     _mask,
     _members,
     _require_deterministic,
@@ -139,7 +140,7 @@ def _preimage_masks(view: WorldView, ts: TransitionSystem) -> dict[int, int]:
     masks = {}
     for i, (run, obs) in enumerate(zip(_runs(view.actions, ts), view.observations)):
         if obs != full:
-            masks[i] = _mask(s for s, p in enumerate(run) if p in obs)
+            masks[i] = _indicator_mask(bytes(map(obs.__contains__, run)))
     return masks
 
 
@@ -454,12 +455,10 @@ def iterated_revise(
         raise ValueError(f"unknown action {NULL_ACTION!r}")
     if assign is None:
         assign = dalal_assignment(sig)
-    # The masks _preimage_masks gives on the identity system.
+    # The masks _preimage_masks gives on the identity system: each
+    # observation's states, those outside the signature left out.
     full = universe(sig)
-    states = range(sig.num_states)
-    masks = {
-        i: _mask(s for s in states if s in o) for i, o in enumerate(obs) if o != full
-    }
+    masks = {i: _mask(o & full) for i, o in enumerate(obs) if o != full}
     everything = (1 << sig.num_states) - 1
     core = reduce(and_, masks.values(), everything)
     if not core:

@@ -5,10 +5,16 @@ names.  A state is a truth assignment to the fluents, identified with its
 canonical index: bit k of the index gives the value of the k-th declared
 fluent.  Public functions take and return state sets as frozensets of these
 indices; inside the package a state set may also be a mask, an int with bit
-s set for each member s.  ``_mask`` and ``_members`` convert between the
-two; ``_state_mask`` is ``_mask`` for a set from outside the package, with
-each index checked, and ``_image`` maps a mask through a successor function.
-A ranking is a tuple of masks, one per stratum.
+s set for each member s.  One codec converts between the two, in time
+linear in the mask's width.  ``_members`` decodes a mask a byte at a time
+through one table, ``_BYTE_STATES``.  ``_mask`` encodes a set with a
+shift-OR per member while it has at most ``_NARROW`` members, and a wider
+one through a byte indicator, one byte per state, which
+``_indicator_mask`` reads as binary digits; callers that test every state
+build that indicator themselves.  ``_state_mask`` is ``_mask`` for a set
+from outside the package, with each index checked, and ``_image`` maps a
+mask through a successor function.  A ranking is a tuple of masks, one per
+stratum.
 Fluent names become a state through one table, ``Signature._bits``, which
 ``state_index`` and every reader in ``dsl`` share; a literal written
 canonically, true fluents in declaration order, is also found whole in
@@ -34,7 +40,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import length_hint
+from typing import Collection, Iterable, Sequence
 
 NULL_ACTION = "noop"
 
@@ -124,39 +131,90 @@ def make_signature(fluents: Iterable[str], actions: Iterable[str] = ()) -> Signa
     return Signature(flu, act)
 
 
+# _BYTE_STATES[b] is the set of states set in byte value b: the one table
+# every mask is decoded through, and the state set of each mask below 256.
+# Built by doubling: the entries b + 2^k add state k to the entries b < 2^k.
+_BYTE_STATES: tuple[frozenset[int], ...] = (frozenset(),)
+for _k in range(8):
+    _BYTE_STATES += tuple(s | {_k} for s in _BYTE_STATES)
+del _k
+
+# Maps the indicator bytes 0 and 1 to the binary digits "0" and "1".
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+# A set of at most this many states is encoded one shift-OR per member, which
+# costs at most _NARROW copies of the mask; a larger one goes through a byte
+# indicator, so encoding stays linear in the mask's width.
+_NARROW = 64
+
+
+def _indicator_mask(indicator: bytes | bytearray) -> int:
+    """The mask with bit s set where the non-empty ``indicator[s]`` is 1."""
+    return int(indicator.translate(_BITS)[::-1], 2)
+
+
 def _mask(states: Iterable[int]) -> int:
     """The mask of a state set: bit s is set for each member s."""
-    mask = 0
+    if length_hint(states) <= _NARROW:
+        mask = 0
+        for s in states:
+            mask |= 1 << s
+        return mask
+    states = tuple(states)
+    if min(states) < 0:
+        raise ValueError("negative shift count")  # as 1 << s raises
+    indicator = bytearray(max(states) + 1)
     for s in states:
-        mask |= 1 << s
-    return mask
+        indicator[s] = 1
+    return _indicator_mask(indicator)
 
 
 def _state_mask(states: Iterable[int], num_states: int) -> int:
     """The mask of a state set from outside the package, each index checked."""
-    mask = 0
-    for s in states:
-        if not 0 <= s < num_states:
-            raise ValueError(f"state index {s} out of range")
-        mask |= 1 << s
-    return mask
+    if length_hint(states) <= _NARROW:
+        mask = 0
+        for s in states:
+            if not 0 <= s < num_states:
+                raise ValueError(f"state index {s} out of range")
+            mask |= 1 << s
+        return mask
+    states = tuple(states)
+    if min(states) < 0 or max(states) >= num_states:
+        bad = next(s for s in states if not 0 <= s < num_states)
+        raise ValueError(f"state index {bad} out of range")
+    return _mask(states)
+
+
+def _states(mask: int) -> Collection[int]:
+    """The states of a mask, found a byte at a time."""
+    if mask < 256:
+        return _BYTE_STATES[mask]
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [
+        base + s
+        for base, byte in zip(range(0, 8 * len(data), 8), data)
+        if byte
+        for s in _BYTE_STATES[byte]
+    ]
 
 
 def _members(mask: int) -> StateSet:
     """The state set of a mask: every s whose bit is set."""
-    # bin() gives the bits most significant first, after a '0b' prefix.
-    return frozenset(s for s, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+    return frozenset(_states(mask))
 
 
 def _image(mask: int, succ: Sequence[int]) -> int:
     """The mask of the successors under ``succ`` of the states of ``mask``."""
-    image = 0
-    bits = bin(mask)[:1:-1]  # bits[s] is "1" for each member s
-    s = bits.find("1")
-    while s >= 0:
-        image |= 1 << succ[s]
-        s = bits.find("1", s + 1)
-    return image
+    states = _states(mask)
+    if len(states) <= _NARROW:
+        image = 0
+        for s in states:
+            image |= 1 << succ[s]
+        return image
+    indicator = bytearray(len(succ))
+    for s in states:
+        indicator[succ[s]] = 1
+    return _indicator_mask(indicator)
 
 
 def universe(sig: Signature) -> StateSet:

@@ -19,8 +19,8 @@ Revision takes an observation only when the ranking grades all of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from dataclasses import dataclass, field
+from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Optional
 
@@ -36,16 +36,18 @@ class Ranking:
     in no stratum are unranked; a stratum may be empty."""
 
     strata: tuple[int, ...]
+    # The mask of the ranked states, set once per ranking; a plain field, as
+    # a cached_property takes a lock on each ranking's first read before
+    # Python 3.12.
+    _graded: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_graded", reduce(or_, self.strata, 0))
 
     @property
     def base(self) -> StateSet:
         """The most plausible states: those of the first stratum."""
         return _members(self.strata[0] if self.strata else 0)
-
-    @cached_property
-    def _graded(self) -> int:
-        """The mask of the ranked states, computed once per ranking."""
-        return reduce(or_, self.strata, 0)
 
     @property
     def domain(self) -> StateSet:

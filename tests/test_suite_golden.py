@@ -8,7 +8,7 @@ With the package's own operators every report passes, so the command-line
 digests pin little beyond the summary line.  To pin which instances are
 drawn and in which order violations are listed, the second half swaps the
 iterated revision the suites call for deliberately broken operators; between
-them they violate each of L2, L3, L4*, L5*, L6*, L7 and DP1, DP2, DP4, REC.
+them they violate each of L2, L3, L4*, L5*, L6*, L7 and DP2, DP4, REC.
 The last three tests give the AGM and interaction suites rankings that are
 not faithful, so that their violation lists, sampled streams included, are
 pinned too.
