@@ -46,7 +46,7 @@ from .kernel import (
     complete_transitions,
     universe,
 )
-from .revision import RankingAssignment, dalal_assignment, revise
+from .revision import RankingAssignment, _revised, dalal_assignment, revise
 from .update import ActionTrajectory, update, update_seq
 
 ObservationTrajectory = tuple[StateSet, ...]
@@ -114,7 +114,7 @@ def _runs(actions: ActionTrajectory, ts: TransitionSystem) -> Iterator[Sequence[
     _require_deterministic(ts)
     run: Sequence[int] = range(ts.signature.num_states)
     for a in actions:
-        succ = ts.successor_map(a)
+        succ = ts._least_successors(a)
         run = [succ[p] for p in run]
         yield run
 
@@ -322,8 +322,9 @@ class EvolutionResult:
 
 # The part of evolving through a view that does not depend on kappa: whether
 # the view was consistent, the repaired views (the view itself when it was)
-# and, for each, the meet of the preimages it keeps, which kappa is revised by.
-_Plan = tuple[bool, tuple[ObservationTrajectory, ...], tuple[StateSet, ...]]
+# and, for each, the mask of the meet of the preimages it keeps, which kappa
+# is revised by.
+_Plan = tuple[bool, tuple[ObservationTrajectory, ...], tuple[int, ...]]
 
 
 def _plan(view: WorldView, ts: TransitionSystem, r: ReliabilityFunction) -> _Plan:
@@ -331,25 +332,26 @@ def _plan(view: WorldView, ts: TransitionSystem, r: ReliabilityFunction) -> _Pla
     masks = _preimage_masks(view, ts)
     core = _meet(masks.values(), ts)
     if core:
-        return True, (view.observations,), (_members(core),)
+        return True, (view.observations,), (core,)
     fixed = repairs(view, ts, r)
     full = universe(ts.signature)
     cores = []
     for obs in fixed:
         kept = _retained_positions(view.observations, obs, full)
-        cores.append(_members(_meet((m for i, m in masks.items() if kept >> i & 1), ts)))
+        cores.append(_meet((m for i, m in masks.items() if kept >> i & 1), ts))
     return False, fixed, tuple(cores)
 
 
 def _trajectories(
     kappa: StateSet,
-    cores: tuple[StateSet, ...],
+    cores: tuple[int, ...],
     view: WorldView,
     ts: TransitionSystem,
     assign: RankingAssignment,
 ) -> tuple[BeliefTrajectory, ...]:
-    """Revise ``kappa`` by each of a plan's cores and update forward."""
-    return tuple([_forward(revise(kappa, core, assign), view, ts) for core in cores])
+    """Revise ``kappa`` by each of a plan's core masks, decoded once for the
+    public ``revise``, and update forward."""
+    return tuple([_forward(revise(kappa, _members(core), assign), view, ts) for core in cores])
 
 
 def evolve(
@@ -467,7 +469,7 @@ def iterated_revise(
         if len({levels[i] for i in masks}) == len(masks):
             core = _greedy(masks, levels, everything)[0]
     if core:
-        return revise(kappa, _members(core), assign)
+        return _members(_revised(core, assign(kappa)))
     ts = _identity_system(sig)
     view = WorldView((NULL_ACTION,) * len(obs), obs)
     result = evolve(kappa, view, ts, assign, r)

@@ -466,10 +466,13 @@ class TransitionSystem:
         """The mask of every state's least successor under an action (all it
         reaches, in a deterministic system), built once per action and kept
         beside the fields like ``relation``."""
-        reached = self.__dict__.setdefault("_reached", {})
-        if action not in reached:
-            reached[action] = _mask(self._least_successors(action))
-        return reached[action]
+        reached = self.__dict__.get("_reached")
+        if reached is None:
+            reached = self.__dict__["_reached"] = {}
+        mask = reached.get(action)
+        if mask is None:
+            mask = reached[action] = _mask(self._least_successors(action))
+        return mask
 
     def _least_successors(self, action: str) -> tuple[int, ...]:
         """Each state's least successor under an action, indexed by state."""

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .kernel import (
     NULL_ACTION,
@@ -40,7 +40,7 @@ from .revision import (
     dalal_assignment,
     revise,
 )
-from .evolution import _plan, evolve, iterated_revise
+from .evolution import _plan, _runs, evolve, iterated_revise
 from .evolution import padded_view, preimage, recency
 
 _FLUENT_POOL = ("p", "q", "r", "s", "u")
@@ -229,13 +229,15 @@ def _require_length(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _instance_masks(bounds: ScopeBounds) -> Iterator[tuple[TransitionSystem, int, tuple, int]]:
-    """(system, kappa mask, action trajectory, observation mask) per instance.
+def _instance_masks(bounds: ScopeBounds) -> Iterator[tuple[TransitionSystem, int, tuple, Sequence]]:
+    """(system, kappa mask, action trajectory, observation masks) per group
+    of instances, which differ only in the observation.
 
     Exhaustive mode covers every deterministic single-action system, every
     non-empty belief state, every trajectory over both actions up to the
-    length bound, and every observation.  Sampled mode draws each from the
-    stream seeded by ``bounds.seed``, in that order.
+    length bound, and every observation, so a group's masks are all of
+    them.  Sampled mode draws each from the stream seeded by
+    ``bounds.seed``, in that order, so a group has one observation.
     """
     _require_length("trajectory_len", bounds.trajectory_len)
     sig, _, samples = _suite_scope("interaction", bounds.fluents, bounds.samples, None)
@@ -246,15 +248,14 @@ def _instance_masks(bounds: ScopeBounds) -> Iterator[tuple[TransitionSystem, int
         for ts in single_action_systems(sig):
             for kmask in range(1, size):
                 for acts in trajectories:
-                    for amask in range(size):
-                        yield ts, kmask, acts, amask
+                    yield ts, kmask, acts, range(size)
     else:
         rng = random.Random(bounds.seed)
         for _ in range(samples):
             ts = _random_system(rng, sig)
             kmask, steps = rng.randrange(1, size), rng.randint(1, bounds.trajectory_len)
             acts = tuple(rng.choice(sig.actions) for _ in range(steps))
-            yield ts, kmask, acts, rng.randrange(size)
+            yield ts, kmask, acts, (rng.randrange(size),)
 
 
 def _instance(ts: TransitionSystem, kmask: int, acts: tuple[str, ...], amask: int) -> Instance:
@@ -263,8 +264,12 @@ def _instance(ts: TransitionSystem, kmask: int, acts: tuple[str, ...], amask: in
 
 def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
     """Instances (system, belief state, action trajectory, observation), as
-    ``_instance_masks`` gives them."""
-    return (_instance(*masks) for masks in _instance_masks(bounds))
+    ``_instance_masks`` gives them, one per observation of each group."""
+    return (
+        _instance(ts, kmask, acts, amask)
+        for ts, kmask, acts, amasks in _instance_masks(bounds)
+        for amask in amasks
+    )
 
 
 class _Suite(NamedTuple):
@@ -347,7 +352,13 @@ def _padded_core(acts: tuple[str, ...], amask: int, ts: TransitionSystem) -> int
     """The mask ``evolution_final_state`` revises kappa by: the one core of
     the padded view's plan under recency."""
     view = padded_view(acts, _members(amask), ts.signature)
-    return _mask(_plan(view, ts, recency)[2][0])
+    return _plan(view, ts, recency)[2][0]
+
+
+def _composite(acts: tuple[str, ...], ts: TransitionSystem) -> tuple[int, ...]:
+    """The successor function of a whole trajectory: the last run of ``_runs``."""
+    *_, run = _runs(acts, ts)
+    return tuple(run)
 
 
 def check_interaction(
@@ -389,11 +400,16 @@ def run_interaction_suite(
     view needed repair are evaluated too, but their outcome is informational
     and summarised in the notes.
 
-    Each instance is what ``check_interaction`` evaluates, on state masks.
-    Per system the sweep memoises images under action sequences and the
-    core of each padded view's plan, and per kappa the ranking; an instance
-    is then one revision, one forward fold and the P1-P5 tests, decoded only
-    when it has a violation to record.
+    Each instance is what ``check_interaction`` evaluates, on state masks,
+    a group of instances at a time.  A trajectory enters only through its
+    composite successor function, so trajectories that share one (``a``,
+    ``a,noop`` and ``noop,a``) share, per system, the cores of the padded
+    views' plans, one per observation of the group, and the memoised image
+    of each mask, and per kappa the group's outcome.  An outcome takes the
+    ranking once per kappa and the reachable states and kappa's update once
+    per group; an instance in it is one memoised revision, one image and
+    the P1-P5 tests.  Only a violation is decoded, once per trajectory of
+    the class, with that trajectory.
     """
     sig, assign, samples = _suite_scope("interaction", fluents, samples, assign)
     bounds = ScopeBounds(len(sig.fluents), trajectory_len, samples, seed)
@@ -402,37 +418,47 @@ def run_interaction_suite(
     vios: list[Violation] = []
     ts = ranked = None
     check = cache(_interaction_violations)
-    for masks in _instance_masks(bounds):
-        inst_ts, kmask, acts, amask = masks
-        if inst_ts is not ts:
-            ts, ranked = inst_ts, None
-            forward = cache(partial(_forward_mask, ts=ts))
-            core_of = cache(partial(_padded_core, ts=ts))
+    for group_ts, kmask, acts, amasks in _instance_masks(bounds):
+        if group_ts is not ts:
+            ts, ranked, plans = group_ts, None, {}
+            composite = cache(partial(_composite, ts=ts))
         if kmask != ranked:
-            ranked = kmask
+            ranked, outcomes = kmask, {}
             revised = cache(partial(_revised, ranking=assign(_members(kmask))))
-        final = forward(revised(core_of(acts, amask)), acts)
-        consistent, found = check(amask, final, forward(full, acts), forward(kmask, acts))
-        if consistent:
-            consistent_n += 1
-            if found:
-                vios.extend(_decoded(found, _instance(*masks)))
-        else:
-            repaired_n += 1
-            repaired_bad += len(found)
+        # A group's plan, and per kappa its outcome, see the trajectory only
+        # through its composite, so both are keyed by that and the group's
+        # observations.
+        key = composite(acts), amasks
+        outcome = outcomes.get(key)
+        if outcome is None:
+            plan = plans.get(key)
+            if plan is None:
+                cores = [_padded_core(acts, amask, ts) for amask in amasks]
+                plan = plans[key] = cores, cache(partial(_image, succ=key[0]))
+            cores, image = plan
+            reach, base = image(full), image(kmask)
+            repaired = failures = 0
+            found_at = []
+            for amask, core in zip(amasks, cores):
+                consistent, found = check(amask, image(revised(core)), reach, base)
+                if not consistent:
+                    repaired += 1
+                    failures += len(found)
+                elif found:
+                    found_at.append((amask, found))
+            outcome = outcomes[key] = repaired, failures, found_at
+        repaired, failures, found_at = outcome
+        consistent_n += len(amasks) - repaired
+        repaired_n += repaired
+        repaired_bad += failures
+        for amask, found in found_at:
+            vios.extend(_decoded(found, _instance(ts, kmask, acts, amask)))
     scope = _scope(sig, samples, seed, f"trajectories<={trajectory_len}")
     notes = (
         f"{repaired_n} instances needed repair; informational failures "
         f"after repair: {repaired_bad}",
     )
     return SuiteReport("interaction", scope, consistent_n, tuple(vios), notes)
-
-
-def _forward_mask(mask: int, acts: tuple[str, ...], ts: TransitionSystem) -> int:
-    """The update of ``mask`` by the action trajectory ``acts``."""
-    for a in acts:
-        mask = _image(mask, ts.successor_map(a))
-    return mask
 
 
 def _prefer_state_assignment(sig: Signature, preferred: int) -> RankingAssignment:

@@ -162,7 +162,7 @@ def combined_change(
     if not kappa:
         raise ValueError("cannot change an empty belief state")
     observed = _state_mask(alpha, ts.signature.num_states)
-    succ = ts.successor_map(action)
+    succ = ts._least_successors(action)
     if ts._reach(action) & observed:
         if assign is None:
             assign = dalal_assignment(ts.signature)

@@ -166,3 +166,57 @@ def test_i1i2_sampled_two_fluent_systems(seed):
     systems = list(single_action_systems(suite_signature(2)))
     sample = random.Random(seed).sample(systems, 6)
     assert sum(_check_i1i2(ts, 2) for ts in sample) > 0
+
+
+@pytest.mark.parametrize("trajectory_len, n_systems", [(2, 16), (3, 6)])
+def test_interaction_sweep_exhaustive_two_fluent_slice_longer_trajectories(
+    monkeypatch, trajectory_len, n_systems
+):
+    # Trajectories with one composite successor function (a, a,noop and
+    # noop,a; noop and noop,noop) share their plans in the sweep, and the
+    # flat ranking gives each of them violations of its own.
+    systems = random.Random(trajectory_len).sample(
+        list(single_action_systems(suite_signature(2))), n_systems
+    )
+    monkeypatch.setattr(postulates, "single_action_systems", lambda sig: iter(systems))
+    rep = _check_interaction_sweep(2, trajectory_len, "flat")
+    assert {("a",), ("a", "noop"), ("noop", "a"), ("noop",), ("noop", "noop")} <= {
+        v.instance.actions for v in rep.violations
+    }
+
+
+def test_interaction_violations_carry_their_own_trajectory(monkeypatch):
+    # Each violation's instance is the enumerated instance it was found on,
+    # never one of another trajectory with the same composite successor
+    # function, and the violations come in enumeration order.
+    systems = random.Random(3).sample(list(single_action_systems(suite_signature(2))), 4)
+    monkeypatch.setattr(postulates, "single_action_systems", lambda sig: iter(systems))
+    position = {inst: i for i, inst in enumerate(enumerate_instances(ScopeBounds(2, 2)))}
+    rep = run_interaction_suite(2, 2, _flat(2))
+    found = [position[v.instance] for v in rep.violations]
+    assert found == sorted(found)
+    trajectories = {inst.actions for inst in position}
+    assert len(trajectories) == 6
+    assert {v.instance.actions for v in rep.violations} == trajectories
+
+
+def _bits(states):
+    return sum(1 << s for s in states)
+
+
+@pytest.mark.parametrize("fluents, seed", [(1, 0), (2, 5), (3, 9)])
+def test_sampled_instances_draw_system_kappa_trajectory_then_observation(fluents, seed):
+    sig = suite_signature(fluents)
+    n = sig.num_states
+    rng = random.Random(seed)
+    want = []
+    for _ in range(60):
+        succ = tuple(rng.randrange(n) for _ in range(n))
+        kappa, steps = rng.randrange(1, 1 << n), rng.randint(1, 3)
+        acts = tuple(rng.choice(sig.actions) for _ in range(steps))
+        want.append((succ, kappa, acts, rng.randrange(1 << n)))
+    got = [
+        (inst.ts.successor_map("a"), _bits(inst.kappa), inst.actions, _bits(inst.observations[0]))
+        for inst in enumerate_instances(ScopeBounds(fluents, 3, 60, seed))
+    ]
+    assert got == want
