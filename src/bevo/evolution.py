@@ -19,10 +19,11 @@ states whose run satisfies it, and a set of kept positions is a mask too,
 bit i for position i: it is consistent exactly when the AND of its
 observations' masks is non-zero.  When their reliability levels are
 pairwise distinct (recency, primacy, distinct weights) the preferred repair
-is found greedily, most reliable first, in one AND per observation.  Other
-orders split the initial states by the kept set each one witnesses, in at
-most k * min(N, 2^k) mask steps for k positions and N states, and keep the
-maximal sets.
+is found greedily, most reliable first, in one AND per observation.  Orders
+with ties walk the levels the same way: each kept set so far splits the
+initial states that satisfy it by the level's observations they satisfy,
+and keeps the maximal sets they witness, in at most 2jN ANDs for a level of
+j positions and N states.  Any number of observations can be repaired.
 
 All operations here require a deterministic transition system.
 """
@@ -55,11 +56,6 @@ BeliefTrajectory = tuple[StateSet, ...]
 # Maps a trajectory length n to one reliability level per position; lower
 # levels are more reliable.
 ReliabilityFunction = Callable[[int], tuple[int, ...]]
-
-# Orders with tied levels reject views with more repairable observations than
-# this.  The witness search does not need the cap; it stays so that behaviour
-# is unchanged.  Injective orders repair greedily at any length.
-MAX_REPAIR_POSITIONS = 20
 
 
 class InconsistentView(ValueError):
@@ -203,6 +199,54 @@ def _weakened(
     )
 
 
+def _preferred(masks: dict[int, int], levels: Sequence[int], core: int) -> list[int]:
+    """The kept sets of the preferred repairs, bit i for position i.
+
+    Walks the levels of ``masks`` from most to least reliable.  At each
+    level, every kept set built so far splits its core, the states of
+    ``core`` that satisfy all of it, by the level's positions each state
+    satisfies; the maximal keys are its extensions, each with its part as
+    the new core.  A kept set survives exactly when, at every level, it keeps
+    a maximal consistent part of that level given the more reliable ones:
+    it is a maximal candidate that no other beats at the first level where
+    the two differ.  The cores stay disjoint and non-empty, so for N states
+    a level of j positions costs at most 2jN ANDs.
+    """
+    kept = {0: core}
+    for level in sorted({levels[i] for i in masks}):
+        at_level = [i for i in masks if levels[i] == level]
+        grown = {}
+        for bits, states in kept.items():
+            parts = {bits: states}
+            for i in at_level:
+                split = {}
+                for key, part in parts.items():
+                    inside = part & masks[i]
+                    for k, p in ((key | 1 << i, inside), (key, part ^ inside)):
+                        if p:
+                            split[k] = p
+                parts = split
+            maximal: list[int] = []
+            # Decreasing size: a key is maximal unless an accepted one contains it.
+            for key in sorted(parts, key=int.bit_count, reverse=True):
+                if not any(key & a == key for a in maximal):
+                    maximal.append(key)
+                    grown[key] = parts[key]
+        kept = grown
+    return list(kept)
+
+
+def _preferred_views(
+    view: WorldView, ts: TransitionSystem, levels: Sequence[int]
+) -> tuple[ObservationTrajectory, ...]:
+    """The weakenings that keep each of ``_preferred``'s sets, sorted."""
+    full = universe(ts.signature)
+    kept = _preferred(_preimage_masks(view, ts), levels, _meet((), ts))
+    out = [_weakened(view.observations, bits, full) for bits in kept]
+    out.sort(key=lambda obs: [sorted(o) for o in obs])
+    return tuple(out)
+
+
 def minimal_repair_candidates(
     view: WorldView, ts: TransitionSystem
 ) -> tuple[ObservationTrajectory, ...]:
@@ -210,56 +254,10 @@ def minimal_repair_candidates(
 
     A weakening qualifies when it is consistent and re-introducing any one of
     its discarded observations would break consistency.  Discarding
-    everything is always consistent, so the result is never empty.
+    everything is always consistent, so the result is never empty.  These
+    are the preferred repairs of one reliability level.
     """
-    full = universe(ts.signature)
-    masks = _preimage_masks(view, ts)
-    if len(masks) > MAX_REPAIR_POSITIONS:
-        raise ValueError(
-            f"{len(masks)} repairable observations; "
-            f"the repair search is capped at {MAX_REPAIR_POSITIONS}"
-        )
-    # Part the initial states by the kept set (bit i for position i) each one
-    # satisfies: a kept set is consistent exactly when it lies under a key.
-    parts = {0: _meet((), ts)}
-    for i, m in masks.items():
-        split = {}
-        for kept, states in parts.items():
-            inside = states & m
-            for key, part in ((kept | 1 << i, inside), (kept, states ^ inside)):
-                if part:
-                    split[key] = part
-        parts = split
-    accepted: list[int] = []
-    # Decreasing size: a key is maximal unless an accepted one contains it.
-    for bits in sorted(parts, key=int.bit_count, reverse=True):
-        if not any(bits & a == bits for a in accepted):
-            accepted.append(bits)
-    out = [_weakened(view.observations, bits, full) for bits in accepted]
-    out.sort(key=lambda obs: [sorted(o) for o in obs])
-    return tuple(out)
-
-
-def _retained_positions(
-    original: ObservationTrajectory, weakened: ObservationTrajectory, full: StateSet
-) -> int:
-    """The positions a weakening kept, bit i for position i."""
-    return _mask(i for i, o in enumerate(original) if o != full and weakened[i] == o)
-
-
-def _prefer(kept_a: int, kept_b: int, by_level: Sequence[int]) -> bool:
-    """Whether retaining ``kept_a`` beats ``kept_b`` in the reliability order.
-
-    ``by_level`` holds the positions of each reliability level, most
-    reliable first.  The first level where the retained sets differ decides:
-    the winner must retain a strict superset of the loser's positions there.
-    """
-    for at_level in by_level:
-        a = kept_a & at_level
-        b = kept_b & at_level
-        if a != b:
-            return a | b == a
-    return False
+    return _preferred_views(view, ts, constant(len(view)))
 
 
 def _greedy(masks: dict[int, int], levels: Sequence[int], core: int) -> tuple[int, int]:
@@ -287,23 +285,15 @@ def repairs(
     """The repair candidates that are minimal in the reliability ordering."""
     full = universe(ts.signature)
     levels = r(len(view))
-    lattice = [i for i, o in enumerate(view.observations) if o != full]
-    if len({levels[i] for i in lattice}) == len(lattice):
+    ranks = [levels[i] for i, o in enumerate(view.observations) if o != full]
+    tiers = len(set(ranks))
+    if tiers == len(ranks):
         kept = _greedy(_preimage_masks(view, ts), levels, _meet((), ts))[1]
         return (_weakened(view.observations, kept, full),)
-    candidates = minimal_repair_candidates(view, ts)
-    kept_sets = [
-        _retained_positions(view.observations, cand, full) for cand in candidates
-    ]
-    by_level = [
-        _mask(i for i in lattice if levels[i] == lev)
-        for lev in sorted({levels[i] for i in lattice})
-    ]
-    return tuple(
-        cand
-        for cand, kept in zip(candidates, kept_sets)
-        if not any(_prefer(other, kept, by_level) for other in kept_sets if other != kept)
-    )
+    if tiers == 1:
+        # One level: every candidate is preferred.
+        return minimal_repair_candidates(view, ts)
+    return _preferred_views(view, ts, levels)
 
 
 @dataclass(frozen=True)
@@ -337,8 +327,8 @@ def _plan(view: WorldView, ts: TransitionSystem, r: ReliabilityFunction) -> _Pla
     full = universe(ts.signature)
     cores = []
     for obs in fixed:
-        kept = _retained_positions(view.observations, obs, full)
-        cores.append(_meet((m for i, m in masks.items() if kept >> i & 1), ts))
+        # A repair discards an observation by weakening it to ``full``.
+        cores.append(_meet((m for i, m in masks.items() if obs[i] != full), ts))
     return False, fixed, tuple(cores)
 
 

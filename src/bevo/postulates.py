@@ -407,9 +407,9 @@ def run_interaction_suite(
     views' plans, one per observation of the group, and the memoised image
     of each mask, and per kappa the group's outcome.  An outcome takes the
     ranking once per kappa and the reachable states and kappa's update once
-    per group; an instance in it is one memoised revision, one image and
-    the P1-P5 tests.  Only a violation is decoded, once per trajectory of
-    the class, with that trajectory.
+    per group; an instance in it is one revision, one image and the P1-P5
+    tests.  Only a violation is decoded, once per trajectory of the class,
+    with that trajectory.
     """
     sig, assign, samples = _suite_scope("interaction", fluents, samples, assign)
     bounds = ScopeBounds(len(sig.fluents), trajectory_len, samples, seed)
@@ -424,7 +424,7 @@ def run_interaction_suite(
             composite = cache(partial(_composite, ts=ts))
         if kmask != ranked:
             ranked, outcomes = kmask, {}
-            revised = cache(partial(_revised, ranking=assign(_members(kmask))))
+            ranking = assign(_members(kmask))
         # A group's plan, and per kappa its outcome, see the trajectory only
         # through its composite, so both are keyed by that and the group's
         # observations.
@@ -440,7 +440,7 @@ def run_interaction_suite(
             repaired = failures = 0
             found_at = []
             for amask, core in zip(amasks, cores):
-                consistent, found = check(amask, image(revised(core)), reach, base)
+                consistent, found = check(amask, image(_revised(core, ranking)), reach, base)
                 if not consistent:
                     repaired += 1
                     failures += len(found)

@@ -245,7 +245,8 @@ def test_repair_consistent_scenario(capsys):
     assert len(lines) == 2 and lines[1].startswith("repair 1: ")
 
 
-def test_repair_constant_over_cap_fails_cleanly(capsys, tmp_path):
+def test_repair_constant_past_twenty_observations(capsys, tmp_path):
+    """Twenty-one alternating tied observations: keep the even or the odd ones."""
     scenario = tmp_path / "long.bevs"
     lines = ["scenario long", "initial states { {} }"]
     for i in range(21):
@@ -255,8 +256,14 @@ def test_repair_constant_over_cap_fails_cleanly(capsys, tmp_path):
     code, out, err = _run(
         capsys, "repair", "--domain", _DOMAIN, "--scenario", str(scenario)
     )
-    assert (code, out) == (1, "")
-    assert "capped" in err
+    sig = parse_domain((DATA / "litmus.bevd").read_text()).signature
+    full = format_state_set(sig, frozenset(range(8)))
+    kept = [format_state_set(sig, frozenset(range(4 * j, 4 * j + 4))) for j in (0, 1)]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["consistent: no"] + [
+        f"repair {j + 1}: " + " ; ".join(kept[j] if i % 2 == j else full for i in range(21))
+        for j in (0, 1)
+    ]
 
 
 def test_check_agm_text(capsys):

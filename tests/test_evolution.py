@@ -2,8 +2,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import assume, given
 
+import bevo.evolution as evolution
 from bevo import (
-    MAX_REPAIR_POSITIONS,
     EvolutionResult,
     InconsistentView,
     WorldView,
@@ -237,32 +237,42 @@ def test_minimal_repair_candidates_empty_observation(litmus):
     assert minimal_repair_candidates(view, litmus.ts) == ((universe(sig),),)
 
 
-def test_repair_search_cap(tiny_sig):
+def _residue_classes(obs, k, full, order):
+    """The weakenings keeping the positions congruent to j mod ``k``, for
+    each j of ``order``."""
+    return tuple(
+        tuple(o if i % k == j else full for i, o in enumerate(obs)) for j in order
+    )
+
+
+def test_repair_search_past_twenty(tiny_sig):
+    """Tied observations cycling over the four states: one candidate per
+    state, at any length."""
     ts = complete_transitions(tiny_sig, ())
-    n = 21
-    view = WorldView(("noop",) * n, (frozenset((0,)),) * n)
-    with pytest.raises(ValueError):
-        minimal_repair_candidates(view, ts)
+    full = universe(tiny_sig)
+    for n in (21, 33):
+        obs = tuple(frozenset((i % 4,)) for i in range(n))
+        view = WorldView(("noop",) * n, obs)
+        # Sorted by the first position that differs: j = 0 keeps {0} there,
+        # the others discard it.
+        expected = _residue_classes(obs, 4, full, (0, 3, 2, 1))
+        assert minimal_repair_candidates(view, ts) == expected
+        assert repairs(view, ts, constant) == expected
 
 
-def test_repair_search_at_the_cap(tiny_sig):
+def test_repair_search_at_twenty(tiny_sig):
     """Twenty tied observations cycling over the four states: one candidate per state."""
     ts = complete_transitions(tiny_sig, ())
-    n = MAX_REPAIR_POSITIONS
+    n = 20
     obs = tuple(frozenset((i % 4,)) for i in range(n))
     view = WorldView(("noop",) * n, obs)
-    full = universe(tiny_sig)
-    # Keeping the positions congruent to j mod 4, sorted by the first
-    # position that differs: j = 0 keeps {0} there, the others discard it.
-    expected = tuple(
-        tuple(o if i % 4 == j else full for i, o in enumerate(obs)) for j in (0, 3, 2, 1)
-    )
+    expected = _residue_classes(obs, 4, universe(tiny_sig), (0, 3, 2, 1))
     assert minimal_repair_candidates(view, ts) == expected
     assert repairs(view, ts, constant) == expected
 
 
 def test_repairs_recency_has_no_cap(tiny_sig):
-    """Injective orders repair greedily, past the search cap."""
+    """Injective orders repair greedily at any length."""
     ts = complete_transitions(tiny_sig, ())
     n = 40
     obs = tuple(frozenset((i % 2,)) for i in range(n))
@@ -277,14 +287,63 @@ def test_repairs_recency_has_no_cap(tiny_sig):
     assert res.trajectories == ((frozenset((1,)),) * (n + 1),)
 
 
-def test_repairs_constant_still_capped(tiny_sig):
+def test_repairs_constant_has_no_cap(tiny_sig):
+    """Twenty-one alternating tied observations: keep the even positions or
+    the odd ones, and evolve once for each."""
     ts = complete_transitions(tiny_sig, ())
-    n = MAX_REPAIR_POSITIONS + 1
-    view = WorldView(("noop",) * n, tuple(frozenset((i % 2,)) for i in range(n)))
-    with pytest.raises(ValueError, match="capped"):
-        repairs(view, ts, constant)
-    with pytest.raises(ValueError, match="capped"):
-        evolve(frozenset((0,)), view, ts, r=constant)
+    n = 21
+    obs = tuple(frozenset((i % 2,)) for i in range(n))
+    view = WorldView(("noop",) * n, obs)
+    expected = _residue_classes(obs, 2, universe(tiny_sig), (0, 1))
+    assert repairs(view, ts, constant) == expected
+    res = evolve(frozenset((0, 1)), view, ts, r=constant)
+    assert res.repaired_views == expected
+    assert res.trajectories == tuple((frozenset((j,)),) * (n + 1) for j in (0, 1))
+
+
+def test_repairs_tied_weights_past_twenty(tiny_sig):
+    """Pairs of positions tied at one level each, 24 and 30 positions long.
+
+    Position 1 allows both states of the first pair, so the most reliable
+    level keeps both, and every later level keeps its even position.
+    ``constant`` cannot tell that set from keeping the odd positions.
+    """
+    ts = complete_transitions(tiny_sig, ())
+    full = universe(tiny_sig)
+    for n in (24, 30):
+        obs = list(frozenset((i % 2,)) for i in range(n))
+        obs[1] = frozenset((0, 1))
+        obs = tuple(obs)
+        view = WorldView(("noop",) * n, obs)
+        evens = tuple(o if i % 2 == 0 or i == 1 else full for i, o in enumerate(obs))
+        odds = tuple(o if i % 2 else full for i, o in enumerate(obs))
+        assert repairs(view, ts, fixed_weights(i // 2 for i in range(n))) == (evens,)
+        assert repairs(view, ts, constant) == (evens, odds)
+
+
+@pytest.mark.parametrize(
+    "r, repaired, calls",
+    [(constant, 2, 1), (recency, 1, 0), (fixed_weights((0, 0, 1, 1)), 2, 0)],
+    ids=["constant", "recency", "weights"],
+)
+def test_repairs_delegates_to_candidates_only_for_one_level(
+    tiny_sig, monkeypatch, r, repaired, calls
+):
+    """``repairs`` calls ``minimal_repair_candidates`` once under a single
+    tied level, and never under distinct or several levels."""
+    seen = []
+    real = evolution.minimal_repair_candidates
+
+    def spy(view, ts):
+        seen.append(view)
+        return real(view, ts)
+
+    monkeypatch.setattr(evolution, "minimal_repair_candidates", spy)
+    ts = complete_transitions(tiny_sig, ())
+    obs = tuple(frozenset((i % 2,)) for i in range(4))
+    view = WorldView(("noop",) * 4, obs)
+    assert len(evolve(frozenset((0, 1)), view, ts, r=r).repaired_views) == repaired
+    assert len(seen) == calls
 
 
 def test_repairs_recency_unique(conflict_view, litmus):

@@ -29,6 +29,7 @@ from bevo.postulates import (
 )
 
 from conftest import state_of
+from test_suite_golden import _OPERATORS, _believe_last
 
 
 def test_suite_signature_shape():
@@ -175,6 +176,27 @@ def test_run_dp_suite_exhaustive():
     rep = run_dp_suite(fluents=2)
     assert rep.passed
     assert rep.instances == 3_375
+
+
+_DP_FIRED = {
+    "oldest_first": {"DP2"},
+    "last_only": {"REC"},
+    "two_shot": {"DP1", "DP2", "DP4", "REC"},
+    "believe_last": {"DP1", "DP2", "DP3", "REC"},
+}
+
+
+def test_exhaustive_dp_fires_every_postulate_under_broken_operators(monkeypatch):
+    """No check of the exhaustive 2-fluent dp suite passes vacuously: the
+    broken operators of the golden report tests fire each of them."""
+    fired = {}
+    for name, operator in dict(_OPERATORS, believe_last=_believe_last).items():
+        monkeypatch.setattr(postulates, "iterated_revise", operator)
+        rep = run_suite("dp", 2)
+        assert rep.instances == 3_375
+        fired[name] = {v.postulate for v in rep.violations}
+    assert fired == _DP_FIRED
+    assert set().union(*fired.values()) == {"DP1", "DP2", "DP3", "DP4", "REC"}
 
 
 def test_run_dp_suite_sampled_path():
