@@ -17,13 +17,16 @@ makes the repair unique.
 One forward walk gives each non-trivial observation a mask of the initial
 states whose run satisfies it, and a set of kept positions is a mask too,
 bit i for position i: it is consistent exactly when the AND of its
-observations' masks is non-zero.  When their reliability levels are
-pairwise distinct (recency, primacy, distinct weights) the preferred repair
-is found greedily, most reliable first, in one AND per observation.  Orders
-with ties walk the levels the same way: each kept set so far splits the
-initial states that satisfy it by the level's observations they satisfy,
-and keeps the maximal sets they witness, in at most 2jN ANDs for a level of
-j positions and N states.  Any number of observations can be repaired.
+observations' masks is non-zero.  ``_select`` is the one home of the
+repair choice, read by ``repairs``, ``minimal_repair_candidates`` and
+``iterated_revise``, which revises by its cores without building a
+transition system.  When the reliability levels are pairwise distinct
+(recency, primacy, distinct weights) it finds the preferred repair
+greedily, most reliable first, in one AND per observation.  Orders with
+ties walk the levels the same way: each kept set so far splits the initial
+states that satisfy it by the level's observations they satisfy, and keeps
+the maximal sets they witness, in at most 2jN ANDs for a level of j
+positions and N states.  Any number of observations can be repaired.
 
 All operations here require a deterministic transition system.
 """
@@ -31,7 +34,7 @@ All operations here require a deterministic transition system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -44,7 +47,6 @@ from .kernel import (
     _mask,
     _members,
     _require_deterministic,
-    complete_transitions,
     universe,
 )
 from .revision import RankingAssignment, _revised, dalal_assignment, revise
@@ -190,30 +192,35 @@ def evolve_consistent(
     return _forward(revise(kappa, _members(core), assign), view, ts)
 
 
-def _weakened(
-    observations: ObservationTrajectory, kept: int, full: StateSet
-) -> ObservationTrajectory:
-    """Keep the positions set in ``kept``; discard the rest to ``full``."""
-    return tuple(
-        frozenset(o) if kept >> i & 1 else full for i, o in enumerate(observations)
-    )
+def _select(masks: dict[int, int], levels: Sequence[int], core: int) -> dict[int, int]:
+    """The kept sets of the preferred repairs, bit i for position i, each
+    mapped to its core: the states of ``core`` that satisfy all of it.
 
+    When the levels of ``masks`` are pairwise distinct the order is total
+    and the one preferred repair is built greedily: visiting the positions
+    from most to least reliable, keep each one that leaves the core
+    non-empty.  That set is maximal, and any other differs first at a
+    position it dropped, so it beats every other candidate.
 
-def _preferred(masks: dict[int, int], levels: Sequence[int], core: int) -> list[int]:
-    """The kept sets of the preferred repairs, bit i for position i.
-
-    Walks the levels of ``masks`` from most to least reliable.  At each
-    level, every kept set built so far splits its core, the states of
-    ``core`` that satisfy all of it, by the level's positions each state
-    satisfies; the maximal keys are its extensions, each with its part as
-    the new core.  A kept set survives exactly when, at every level, it keeps
-    a maximal consistent part of that level given the more reliable ones:
-    it is a maximal candidate that no other beats at the first level where
-    the two differ.  The cores stay disjoint and non-empty, so for N states
-    a level of j positions costs at most 2jN ANDs.
+    Otherwise the levels are walked from most to least reliable.  At each
+    level, every kept set built so far splits its core by the level's
+    positions each state satisfies; the maximal keys are its extensions,
+    each with its part as the new core.  A kept set survives exactly when,
+    at every level, it keeps a maximal consistent part of that level given
+    the more reliable ones: it is a maximal candidate that no other beats at
+    the first level where the two differ.  The cores stay disjoint and
+    non-empty, so for N states a level of j positions costs at most 2jN ANDs.
     """
+    tiers = set(map(levels.__getitem__, masks))
+    if len(tiers) == len(masks):
+        bits = 0
+        for i in sorted(masks, key=levels.__getitem__):
+            if core & masks[i]:
+                core &= masks[i]
+                bits |= 1 << i
+        return {bits: core}
     kept = {0: core}
-    for level in sorted({levels[i] for i in masks}):
+    for level in sorted(tiers):
         at_level = [i for i in masks if levels[i] == level]
         grown = {}
         for bits, states in kept.items():
@@ -233,18 +240,30 @@ def _preferred(masks: dict[int, int], levels: Sequence[int], core: int) -> list[
                     maximal.append(key)
                     grown[key] = parts[key]
         kept = grown
-    return list(kept)
+    return kept
+
+
+def _ordered(
+    observations: ObservationTrajectory, kept: dict[int, int], full: StateSet
+) -> dict[ObservationTrajectory, int]:
+    """Each of ``_select``'s sets as a weakening, its other positions
+    discarded to ``full``, mapped to its core, in the order ``repairs``
+    lists them."""
+    views = {
+        tuple([frozenset(o) if bits >> i & 1 else full for i, o in enumerate(observations)]): core
+        for bits, core in kept.items()
+    }
+    if len(views) > 1:
+        views = dict(sorted(views.items(), key=lambda view: [sorted(o) for o in view[0]]))
+    return views
 
 
 def _preferred_views(
     view: WorldView, ts: TransitionSystem, levels: Sequence[int]
 ) -> tuple[ObservationTrajectory, ...]:
-    """The weakenings that keep each of ``_preferred``'s sets, sorted."""
-    full = universe(ts.signature)
-    kept = _preferred(_preimage_masks(view, ts), levels, _meet((), ts))
-    out = [_weakened(view.observations, bits, full) for bits in kept]
-    out.sort(key=lambda obs: [sorted(o) for o in obs])
-    return tuple(out)
+    """The weakenings that keep each of ``_select``'s sets, sorted."""
+    kept = _select(_preimage_masks(view, ts), levels, _meet((), ts))
+    return tuple(_ordered(view.observations, kept, universe(ts.signature)))
 
 
 def minimal_repair_candidates(
@@ -260,23 +279,6 @@ def minimal_repair_candidates(
     return _preferred_views(view, ts, constant(len(view)))
 
 
-def _greedy(masks: dict[int, int], levels: Sequence[int], core: int) -> tuple[int, int]:
-    """The one preferred repair when the levels of ``masks`` are pairwise distinct.
-
-    The order is then total and the repair is built greedily: visiting the
-    positions from most to least reliable, keep each one that leaves the
-    kept set consistent.  That set is maximal, and any other differs first
-    at a position it dropped, so it beats every other candidate.  Returns
-    the meet of the kept masks with ``core``, and the kept positions.
-    """
-    kept = 0
-    for i in sorted(masks, key=levels.__getitem__):
-        if core & masks[i]:
-            core &= masks[i]
-            kept |= 1 << i
-    return core, kept
-
-
 def repairs(
     view: WorldView,
     ts: TransitionSystem,
@@ -286,11 +288,7 @@ def repairs(
     full = universe(ts.signature)
     levels = r(len(view))
     ranks = [levels[i] for i, o in enumerate(view.observations) if o != full]
-    tiers = len(set(ranks))
-    if tiers == len(ranks):
-        kept = _greedy(_preimage_masks(view, ts), levels, _meet((), ts))[1]
-        return (_weakened(view.observations, kept, full),)
-    if tiers == 1:
+    if len(ranks) > 1 and len(set(ranks)) == 1:
         # One level: every candidate is preferred.
         return minimal_repair_candidates(view, ts)
     return _preferred_views(view, ts, levels)
@@ -413,11 +411,6 @@ def final_state_shortcut(
     return revise(progressed, alpha, assign)
 
 
-@lru_cache(maxsize=64)
-def _identity_system(sig: Signature) -> TransitionSystem:
-    return complete_transitions(sig, ())
-
-
 def iterated_revise(
     kappa: StateSet,
     observations: Sequence[StateSet],
@@ -433,10 +426,8 @@ def iterated_revise(
     non-empty, and revising by alpha alone otherwise.
 
     On that system each observation is its own preimage and every update is
-    the identity, so the result is ``kappa`` revised once, by the meet of the
-    observations the repair keeps.  That is computed directly whenever the
-    observations are consistent or their levels are pairwise distinct; tied
-    orders run the full evolution.
+    the identity, so each evolution revises ``kappa`` once, by the core of
+    the observations its repair keeps, and that is computed directly.
     """
     obs = tuple(frozenset(o) for o in observations)
     if not obs:
@@ -454,19 +445,17 @@ def iterated_revise(
     everything = (1 << sig.num_states) - 1
     core = reduce(and_, masks.values(), everything)
     if not core:
-        # Tied levels need the candidate search.
-        levels = r(len(obs))
-        if len({levels[i] for i in masks}) == len(masks):
-            core = _greedy(masks, levels, everything)[0]
-    if core:
-        return _members(_revised(core, assign(kappa)))
-    ts = _identity_system(sig)
-    view = WorldView((NULL_ACTION,) * len(obs), obs)
-    result = evolve(kappa, view, ts, assign, r)
-    finals = {t[-1] for t in result.trajectories}
-    if len(finals) != 1:
-        raise ValueError(
-            "iterated revision is ambiguous under this reliability function; "
-            "use evolve for the full set of outcomes"
-        )
-    return finals.pop()
+        kept = _select(masks, r(len(obs)), everything)
+        if len(kept) > 1:
+            ranking = assign(kappa)
+            # In the order of the repairs, so an unranked state is named as
+            # evolution names it.
+            finals = {_revised(c, ranking) for c in _ordered(obs, kept, full).values()}
+            if len(finals) != 1:
+                raise ValueError(
+                    "iterated revision is ambiguous under this reliability function; "
+                    "use evolve for the full set of outcomes"
+                )
+            return _members(finals.pop())
+        (core,) = kept.values()
+    return _members(_revised(core, assign(kappa)))

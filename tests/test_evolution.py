@@ -321,16 +321,27 @@ def test_repairs_tied_weights_past_twenty(tiny_sig):
         assert repairs(view, ts, constant) == (evens, odds)
 
 
+_ALTERNATING = tuple(frozenset((i % 2,)) for i in range(4))
+# One non-trivial observation, the empty one, among three trivial ones.
+_LONE = (frozenset(),) + (frozenset(range(4)),) * 3
+
+
 @pytest.mark.parametrize(
-    "r, repaired, calls",
-    [(constant, 2, 1), (recency, 1, 0), (fixed_weights((0, 0, 1, 1)), 2, 0)],
-    ids=["constant", "recency", "weights"],
+    "r, obs, repaired, calls",
+    [
+        (constant, _ALTERNATING, 2, 1),
+        (recency, _ALTERNATING, 1, 0),
+        (fixed_weights((0, 0, 1, 1)), _ALTERNATING, 2, 0),
+        (constant, _LONE, 1, 0),
+    ],
+    ids=["constant", "recency", "weights", "constant-lone"],
 )
 def test_repairs_delegates_to_candidates_only_for_one_level(
-    tiny_sig, monkeypatch, r, repaired, calls
+    tiny_sig, monkeypatch, r, obs, repaired, calls
 ):
     """``repairs`` calls ``minimal_repair_candidates`` once under a single
-    tied level, and never under distinct or several levels."""
+    tied level of at least two observations, and never under distinct or
+    several levels, nor for a lone observation."""
     seen = []
     real = evolution.minimal_repair_candidates
 
@@ -340,7 +351,6 @@ def test_repairs_delegates_to_candidates_only_for_one_level(
 
     monkeypatch.setattr(evolution, "minimal_repair_candidates", spy)
     ts = complete_transitions(tiny_sig, ())
-    obs = tuple(frozenset((i % 2,)) for i in range(4))
     view = WorldView(("noop",) * 4, obs)
     assert len(evolve(frozenset((0, 1)), view, ts, r=r).repaired_views) == repaired
     assert len(seen) == calls

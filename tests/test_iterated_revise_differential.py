@@ -1,13 +1,14 @@
 """``iterated_revise`` against evolution over the identity system.
 
-``iterated_revise`` revises once by the meet of the observations it keeps
+``iterated_revise`` revises by the core of each repair's kept observations
 instead of evolving through one noop step per observation.  The reference
-here is ``evolve`` over ``_identity_system(sig)``, taking the set of final
-belief states: one state must come back as the result, several as the
-ambiguity error, and any error as the same error.  Exhaustive at 2 fluents,
-sampled at 3 and 4.
+here is ``evolve`` over the identity system ``complete_transitions(sig, ())``,
+taking the set of final belief states: one state must come back as the
+result, several as the ambiguity error, and any error as the same error.
+Exhaustive at 2 fluents, sampled at 3, 4 and 8.
 """
 
+from functools import lru_cache
 from itertools import product
 
 import hypothesis.strategies as st
@@ -19,15 +20,16 @@ from bevo import (
     Ranking,
     Signature,
     WorldView,
+    complete_transitions,
     constant,
     dalal_assignment,
     evolve,
     fixed_weights,
     iterated_revise,
+    make_signature,
     recency,
     revise,
 )
-from bevo.evolution import _identity_system
 from bevo.postulates import state_sets, suite_signature
 
 _AMBIGUOUS = (
@@ -38,6 +40,11 @@ _AMBIGUOUS = (
 
 def _primacy(n):
     return tuple(range(n))
+
+
+@lru_cache(maxsize=None)
+def _identity_system(sig):
+    return complete_transitions(sig, ())
 
 
 def _reference(kappa, seq, sig, assign=None, r=recency):
@@ -89,27 +96,47 @@ def test_tied_orders_reach_the_ambiguity_error():
         assert _outcome(frozenset({1, 2}), seq, sig, r=r) == ("error", _AMBIGUOUS)
 
 
+def test_tied_orders_name_the_unranked_state_of_the_first_repair():
+    """Both repairs meet states the ranking leaves out: the one ``repairs``
+    lists first, keeping {3}, names its state, as evolution does."""
+    sig = suite_signature(2, with_action=False)
+    seq = (frozenset({1, 2}), frozenset({3}))
+    partial = Ranking((4, 0))
+    got = _outcome(frozenset({0}), seq, sig, lambda kappa: partial, constant)
+    assert got == _reference(frozenset({0}), seq, sig, lambda kappa: partial, constant)
+    assert got == ("error", "state index 3 out of range")
+
+
 @st.composite
 def _cases(draw):
-    n = draw(st.sampled_from([3, 4]))
-    sig = suite_signature(n, with_action=False)
-    states = st.frozensets(st.integers(0, sig.num_states - 1))
+    n = draw(st.sampled_from([3, 4, 8]))
+    sig = make_signature(tuple(f"f{k}" for k in range(n)), ())
     full = frozenset(range(sig.num_states))
+    states = st.frozensets(st.integers(0, sig.num_states - 1))
     kappa = draw(states.filter(bool))
     seq = draw(st.lists(st.one_of(states, st.just(full)), min_size=1, max_size=4))
+    # The complement of an earlier observation clashes with it; at 8 fluents
+    # it takes the wide mask encoding, past 64 states.
+    for j in range(1, len(seq)):
+        if draw(st.booleans()):
+            seq[j] = full - seq[draw(st.integers(0, j - 1))]
     order = draw(st.sampled_from(["recency", "primacy", "constant", "weights"]))
     if order == "weights":
         r = fixed_weights(draw(st.lists(st.integers(0, 2), min_size=len(seq), max_size=len(seq))))
     else:
         r = {"recency": recency, "primacy": _primacy, "constant": constant}[order]
-    flat = Ranking(((1 << sig.num_states) - 1,))
-    assign = draw(st.sampled_from([None, lambda kappa: flat]))
+    every = (1 << sig.num_states) - 1
+    flat = Ranking((every,))
+    # Two strata that may leave states unranked, so both sides raise.
+    low = draw(st.integers(0, every))
+    partial = Ranking((low, draw(st.integers(0, every)) & ~low))
+    assign = draw(st.sampled_from([None, lambda kappa: flat, lambda kappa: partial]))
     return kappa, tuple(seq), sig, assign, r
 
 
 @settings(max_examples=400, deadline=None)
 @given(_cases())
-def test_sampled_three_and_four_fluents(case):
+def test_sampled_three_four_and_eight_fluents(case):
     assert _outcome(*case) == _reference(*case)
 
 
