@@ -131,6 +131,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ValueError(f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:  # a ValueError, not an OSError
+        raise ValueError(f"{path}: {e}")
 
 
 def _load(parse: Callable[..., _T], path: str, *context: object) -> _T:

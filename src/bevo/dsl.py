@@ -6,8 +6,11 @@ the all-false state), and state-set literals wrapping those in another pair
 of braces.  Names follow the kernel's one rule, ``kernel._NAME``.  Each file
 starts with ``KIND NAME`` (``_named``); ``_Cursor`` reads the rest, one line
 at a time, and checks a domain's ``fluents`` and ``actions`` lines as it
-reads them.  Parsing never raises anything but ParseError on malformed
-input, and every ParseError carries a 1-based line and column.
+reads them.  The one exception is the text ``serialize_domain`` writes: a
+transition line whose two literals are canonical, found whole in
+``Signature._literal_states``, is read by one pattern match.  Parsing never
+raises anything but ParseError on malformed input, and every ParseError
+carries a 1-based line and column.
 
 Serialization is canonical: parsing a serialized document yields a
 structurally equal document, and equal documents serialize to equal bytes.
@@ -371,20 +374,6 @@ _TRANSITION_LINE = re.compile(
 )
 
 
-def _literal_state(inner: str, sig: Signature) -> int:
-    """The state a literal's inner text names, or -1 unless it is blank or
-    a comma-separated list of distinct fluents, spaces and tabs allowed."""
-    if not inner.strip(" \t"):
-        return 0
-    state = 0
-    for name in inner.split(","):
-        bit = sig._bits.get(name.strip(" \t"), 0)
-        if not bit or state & bit:
-            return -1
-        state |= bit
-    return state
-
-
 def parse_domain(text: str) -> DomainDoc:
     """Parse a domain file.
 
@@ -404,22 +393,16 @@ def parse_domain(text: str) -> DomainDoc:
     seen: set[str] = set()
 
     for lineno, raw in lines:
-        # Transition lines the pattern and the lookups accept skip the
-        # cursor; any other line, malformed ones included, goes through the
-        # cursor grammar so that every ParseError keeps its message and
-        # position.
+        # A transition line the pattern matches, with both literals written
+        # canonically and a declared user action, skips the cursor; any
+        # other line, malformed ones included, goes through the cursor
+        # grammar so that every ParseError keeps its message and position.
         m = _TRANSITION_LINE.fullmatch(raw) if sig is not None else None
         if m is not None:
             act, src_text, dst_text = m.groups()
-            # Canonical literals are found whole; only others are decoded.
-            table = sig._literal_states
-            src = table.get(src_text)
-            if src is None:
-                src = _literal_state(src_text, sig)
-            dst = table.get(dst_text)
-            if dst is None:
-                dst = _literal_state(dst_text, sig)
-            if src < 0 or dst < 0 or act == NULL_ACTION or act not in sig.actions:
+            src = sig._literal_states.get(src_text)
+            dst = sig._literal_states.get(dst_text)
+            if src is None or dst is None or act == NULL_ACTION or act not in sig.actions:
                 m = None
         if m is None:
             cur = _Cursor(raw, lineno)
@@ -933,7 +916,10 @@ def result_from_json(text: str) -> tuple[Signature, ResultLike]:
     A malformed document raises ``ValueError`` naming the missing or
     ill-typed field, or the unknown fluent.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("result document: nested too deeply to decode") from None
     if not isinstance(doc, dict):
         raise ValueError("result document: the document must be an object")
     sig_doc = _json_field(doc, "signature", dict)

@@ -408,6 +408,19 @@ def test_missing_file_is_a_clean_error(capsys):
     assert err.startswith("bevo: error: nowhere.bevd")
 
 
+@pytest.mark.parametrize("bad_option", ["--domain", "--scenario"])
+def test_undecodable_file_names_the_file(capsys, tmp_path, bad_option):
+    bad = tmp_path / "bad.bev"
+    bad.write_bytes(b"domain d\nfluents p\n\xff\n")
+    files = {"--domain": _DOMAIN, "--scenario": _SCENARIO, bad_option: str(bad)}
+    code, out, err = _run(capsys, "evolve", *(x for kv in files.items() for x in kv))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"bevo: error: {bad}: 'utf-8' codec can't decode byte 0xff in "
+        "position 19: invalid start byte\n"
+    )
+
+
 def test_malformed_domain_reports_position(capsys, tmp_path):
     bad = tmp_path / "bad.bevd"
     bad.write_text("domain d\nfluents p\ntransition a: {} -> {p}\n")

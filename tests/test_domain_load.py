@@ -1,7 +1,9 @@
 """Differential tests for domain loading.
 
-``parse_domain`` decodes well-formed transition lines with one pattern
-match and sends every other line through the ``_Cursor`` grammar.  The
+``parse_domain`` reads a transition line whose two literal bodies are
+canonical, as ``serialize_domain`` writes them, with one pattern match and
+two lookups in ``Signature._literal_states``; every other line, spaced or
+reordered literals included, goes through the ``_Cursor`` grammar.  The
 reference below decodes every transition line with ``_Cursor``; the two must
 agree on the document or on the error (message, line and column).
 ``complete_transitions`` fills successor tables directly and is checked
@@ -147,15 +149,47 @@ def test_transition_line_matches_cursor_reference(line):
     _agree(line)
 
 
-@pytest.mark.parametrize("line", _CANONICAL + _SPACED + _LOOKED_UP)
-def test_well_formed_lines_skip_the_cursor(line, monkeypatch):
-    # Every well-formed transition line is read by the pattern and the
-    # lookups alone; the cursor reads only the header.
+# The well-formed lines whose two literal bodies are canonical: true fluents
+# in declaration order, commas and no spaces.
+_FAST = [
+    "transition b: {f0,f2} -> {f1}",
+    "transition a: {} -> {}",
+    "transition a: {f0,f1,f2} -> {f2}",
+    "transition a: {f1} -> {f0}  # comment",
+    "\ttransition a:{f1}\t->\t{f0,f1}\t",
+]
+_NOT_FAST = [line for line in _CANONICAL + _SPACED + _LOOKED_UP if line not in _FAST]
+
+
+def _refuse_cursor_literals(monkeypatch):
     def refuse(self, sig):
         raise AssertionError(f"cursor read a literal on line {self.line}")
 
     monkeypatch.setattr(dsl._Cursor, "state_literal", refuse)
+
+
+@pytest.mark.parametrize("line", _FAST)
+def test_canonical_lines_skip_the_cursor(line, monkeypatch):
+    # The pattern and the table lookups alone read these lines, and the
+    # header's; the cursor reads only the other header lines.
+    _refuse_cursor_literals(monkeypatch)
     parse_domain(_HEADER + line + "\n")
+
+
+@pytest.mark.parametrize("line", _NOT_FAST)
+def test_other_well_formed_lines_go_through_the_cursor(line, monkeypatch):
+    read = []
+    state_literal = dsl._Cursor.state_literal
+
+    def spy(self, sig):
+        read.append(self.line)
+        return state_literal(self, sig)
+
+    monkeypatch.setattr(dsl._Cursor, "state_literal", spy)
+    doc = parse_domain(_HEADER + line + "\n")
+    # Both literals of the line under test, and no literal of the header.
+    assert read == [_HEADER_LINES + 2] * 2
+    assert doc == _reference(_HEADER + line + "\n")
 
 
 def test_malformed_lines_are_errors():
@@ -345,6 +379,39 @@ def test_serialize_round_trips_strict(rows):
     doc = parse_domain(_domain_text(triples, "strict\n"))
     assert doc.strict
     _round_trips(doc)
+
+
+_FLUENT_NAMES = ("f0", "f1", "f2", "Red", "Acid", "p", "q_1", "_x", "Z9", "wet")
+
+
+@st.composite
+def _domains(draw):
+    """A domain of 0-8 fluents, in any declaration order, and 0-2 user
+    actions; deterministic or not, with any pragmas it satisfies."""
+    fluents = draw(st.lists(st.sampled_from(_FLUENT_NAMES), unique=True, max_size=8))
+    actions = draw(st.lists(st.sampled_from(("a", "b")), unique=True))
+    sig = make_signature(fluents, actions)
+    triples = []
+    if actions:
+        states = st.integers(0, sig.num_states - 1)
+        sources = st.tuples(states, st.sampled_from(actions))
+        if draw(st.booleans()):  # one listed successor per source
+            triples = [(s, a, d) for (s, a), d in draw(st.dictionaries(sources, states)).items()]
+        else:
+            triples = [(s, a, d) for (s, a), d in draw(st.lists(st.tuples(sources, states)))]
+    ts = complete_transitions(sig, triples)
+    deterministic = ts.deterministic and draw(st.booleans())
+    return DomainDoc("d", sig, ts, deterministic, draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_domains())
+def test_serialized_domains_skip_the_cursor(doc):
+    # Every transition line serialize_domain writes is canonical, so the fast
+    # path reads the whole of it.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _refuse_cursor_literals(monkeypatch)
+        assert parse_domain(serialize_domain(doc)) == doc
 
 
 def test_deterministic_duplicate_reported_alike_before_and_after_pragma():

@@ -764,6 +764,13 @@ def test_result_from_json_not_an_object():
         result_from_json("[1, 2]")
 
 
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_result_from_json_too_deep_is_a_value_error(opener):
+    # json.loads raises RecursionError here, which is no ValueError.
+    with pytest.raises(ValueError, match="result document: nested too deeply"):
+        result_from_json(opener * 100_000)
+
+
 # ---------------------------------------------------------------------------
 # Bundled files and fuzz.
 

@@ -3,7 +3,14 @@ import json
 import pytest
 
 import bevo.postulates as postulates
-from bevo import Ranking, complete_transitions, dalal_assignment
+from bevo import (
+    Ranking,
+    combined_change,
+    complete_transitions,
+    dalal_assignment,
+    universe,
+    update,
+)
 from bevo.postulates import (
     CounterexampleReport,
     Instance,
@@ -197,6 +204,40 @@ def test_exhaustive_dp_fires_every_postulate_under_broken_operators(monkeypatch)
         fired[name] = {v.postulate for v in rep.violations}
     assert fired == _DP_FIRED
     assert set().union(*fired.values()) == {"DP1", "DP2", "DP3", "DP4", "REC"}
+
+
+def test_interaction_fires_p1_when_the_observation_is_ignored(monkeypatch):
+    """No P1 check passes vacuously: revising by every state, in place of the
+    padded view's core, drops the observation from the induced change."""
+
+    def every_state(acts, amask, ts):
+        return (1 << ts.signature.num_states) - 1
+
+    monkeypatch.setattr(postulates, "_padded_core", every_state)
+    rep = run_interaction_suite(fluents=1, trajectory_len=1)
+    assert {v.postulate for v in rep.violations} == {"P1", "P4"}
+    assert len(rep.violations) == 36
+
+
+def test_check_I1_I2_fires_i2_when_unreachable_observations_are_believed():
+    """No I2 check passes vacuously: an operator that believes an
+    unreachable observation, and is combined change otherwise, fires I2
+    alone."""
+    sig = suite_signature(1)
+    assign = dalal_assignment(sig)
+    fired, count = set(), 0
+    for ts in single_action_systems(sig):
+
+        def believe_unreachable(kappa, action, alpha):
+            if not update(universe(sig), action, ts) & alpha:
+                return alpha
+            return combined_change(kappa, action, alpha, ts, assign)
+
+        rep = check_I1_I2(believe_unreachable, assign, ts)
+        fired |= {v.postulate for v in rep.violations}
+        count += len(rep.violations)
+    assert fired == {"I2"}
+    assert count == 30
 
 
 def test_run_dp_suite_sampled_path():
