@@ -99,10 +99,14 @@ class _Cursor:
         return self.pos >= len(self.text)
 
     def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(literal, self.pos):
-            self.pos += len(literal)
+        # skip_ws, written out: formulas call take at every level per operand.
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos] in " \t":
+            pos += 1
+        if text.startswith(literal, pos):
+            self.pos = pos + len(literal)
             return True
+        self.pos = pos
         return False
 
     def expect(self, literal: str) -> None:
@@ -201,63 +205,46 @@ class _Cursor:
 
 
 # ---------------------------------------------------------------------------
-# Formulas.  Precedence ! > & > | > -> > <->, arrows right-associative.
-#
-# Every parenthesis, negation and binary operator opens one level, kept on
-# the cursor until its operand is parsed (for a chain of & or |, until the
-# chain ends), so a formula deeper than this is a ParseError and never
-# exhausts the interpreter's stack, however it nests.
+# Formulas.  _BINARY gives each binary connective's symbol, precedence and
+# the levels of both operands, and is the one statement of precedence and
+# associativity: _parse_formula reads it level by level, loosest first, and
+# serialize_formula renders by it.  ! binds tightest, at level 4.  The arrows
+# read their right operand at their own level, so they right-associate; & and
+# | left-associate, so a right-nested one needs parens.
+_BINARY = {
+    And: ("&", 3, 3, 4),
+    Or: ("|", 2, 2, 3),
+    Implies: ("->", 1, 2, 1),
+    Iff: ("<->", 0, 1, 0),
+}
+# Indexed by precedence: each level's symbol, class and right-operand level,
+# then None for the level of !, parentheses and atoms.
+_LEVELS = tuple(
+    (op, cls, right) for cls, (op, _, _, right) in sorted(_BINARY.items(), key=lambda e: e[1][1])
+) + (None,)
+
+# Each !, ( and binary operator opens one level on the cursor.  A chain of &
+# or | keeps its levels until the chain ends; an arrow, a ! or a ( releases
+# its level once its operand is read.  A formula deeper than this is a
+# ParseError and never exhausts the interpreter's stack, however it nests.
 MAX_FORMULA_DEPTH = 100
 
 
-def _parse_formula(cur: _Cursor, sig: Signature) -> Formula:
-    left = _parse_implies(cur, sig)
-    if cur.take("<->"):
-        cur.nest()
-        left = Iff(left, _parse_formula(cur, sig))
-        cur.depth -= 1
-    return left
-
-
-def _parse_implies(cur: _Cursor, sig: Signature) -> Formula:
-    left = _parse_or(cur, sig)
-    if cur.take("->"):
-        cur.nest()
-        left = Implies(left, _parse_implies(cur, sig))
-        cur.depth -= 1
-    return left
-
-
-def _parse_or(cur: _Cursor, sig: Signature) -> Formula:
-    base = cur.depth
-    left = _parse_and(cur, sig)
-    while True:
-        cur.skip_ws()
-        # Guard: '|' is or, but never consume the '|' of an operator that
-        # does not exist; single '|' only.
-        if cur.text.startswith("|", cur.pos):
-            cur.pos += 1
+def _parse_formula(cur: _Cursor, sig: Signature, prec: int = 0) -> Formula:
+    """The formula at ``cur`` whose unparenthesised connectives bind at ``prec`` or tighter."""
+    level = _LEVELS[prec]
+    if level is not None:
+        op, cls, right = level
+        base = cur.depth
+        left = _parse_formula(cur, sig, prec + 1)
+        while cur.take(op):
             cur.nest()
-            left = Or(left, _parse_and(cur, sig))
-        else:
-            cur.depth = base
-            return left
-
-
-def _parse_and(cur: _Cursor, sig: Signature) -> Formula:
-    base = cur.depth
-    left = _parse_unary(cur, sig)
-    while cur.take("&"):
-        cur.nest()
-        left = And(left, _parse_unary(cur, sig))
-    cur.depth = base
-    return left
-
-
-def _parse_unary(cur: _Cursor, sig: Signature) -> Formula:
+            left = cls(left, _parse_formula(cur, sig, right))
+        cur.depth = base
+        return left
     if cur.take("!"):
         cur.nest()
-        inner: Formula = Not(_parse_unary(cur, sig))
+        inner: Formula = Not(_parse_formula(cur, sig, prec))
     elif cur.take("("):
         cur.nest()
         inner = _parse_formula(cur, sig)
@@ -282,16 +269,6 @@ def parse_state_set(text: str, sig: Signature) -> StateSet:
     out = cur.state_set_literal(sig)
     cur.expect_end()
     return out
-
-
-# Binary connectives: symbol, precedence, and the levels of both operands.
-# The parser left-associates & and |, so a right-nested one needs parens.
-_BINARY = {
-    And: ("&", 3, 3, 4),
-    Or: ("|", 2, 2, 3),
-    Implies: ("->", 1, 2, 1),
-    Iff: ("<->", 0, 1, 0),
-}
 
 
 def serialize_formula(f: Formula) -> str:
@@ -913,8 +890,8 @@ def serialize_result(
 def result_from_json(text: str) -> tuple[Signature, ResultLike]:
     """Inverse of the machine format, for round-tripping results.
 
-    A malformed document raises ``ValueError`` naming the missing or
-    ill-typed field, or the unknown fluent.
+    A malformed document raises ``ValueError`` naming the missing, ill-typed
+    or invalid field, or the unknown fluent.
     """
     try:
         doc = json.loads(text)
@@ -923,10 +900,12 @@ def result_from_json(text: str) -> tuple[Signature, ResultLike]:
     if not isinstance(doc, dict):
         raise ValueError("result document: the document must be an object")
     sig_doc = _json_field(doc, "signature", dict)
-    sig = make_signature(
-        _json_field(sig_doc, "signature.fluents", list),
-        _json_field(sig_doc, "signature.actions", list),
-    )
+    fluents = _json_field(sig_doc, "signature.fluents", list)
+    actions = _json_field(sig_doc, "signature.actions", list)
+    try:
+        sig = make_signature(fluents, actions)
+    except ValueError as e:
+        raise ValueError(f"result document: field signature: {e}") from None
     trajectories = tuple(
         tuple(_states_from_data(sig, k, "trajectories") for k in _json_list(t, "trajectories"))
         for t in _json_field(doc, "trajectories", list)

@@ -497,13 +497,31 @@ def test_deep_formula_is_a_located_error(capsys, obs):
     assert f"nested more than {bevo.dsl.MAX_FORMULA_DEPTH} levels deep" in err
 
 
-def test_formula_at_the_depth_bound_is_accepted(capsys):
+# Each shape at n levels, the revision of { {} } by it at the bound, and the
+# column at which one level more is refused.
+_DEPTH_SHAPES = {
+    "and": (lambda n: " & ".join(["p"] * (n + 1)), "{ {p} }", 404),
+    "or": (lambda n: " | ".join(["p"] * (n + 1)), "{ {p} }", 404),
+    "implies": (lambda n: " -> ".join(["p"] * (n + 1)), "{ {} }", 505),
+    "iff": (lambda n: " <-> ".join(["p"] * (n + 1)), "{ {p} }", 606),
+    "not": (lambda n: "!" * n + "p", "{ {p} }", 102),
+    "parentheses": (lambda n: "(" * n + "p" + ")" * n, "{ {p} }", 102),
+}
+
+
+@pytest.mark.parametrize("shape", list(_DEPTH_SHAPES))
+def test_formula_at_the_depth_bound_is_accepted(capsys, tmp_path, shape):
+    make, revised, col = _DEPTH_SHAPES[shape]
+    domain = tmp_path / "p.bevd"
+    domain.write_text("domain d\nfluents p\n")
     depth = bevo.dsl.MAX_FORMULA_DEPTH
-    obs = "(" * depth + "Acid" + ")" * depth
-    code, out, _ = _run(
-        capsys, "revise", "--domain", _DOMAIN, "--belief", "{ {} }", "--obs", obs
+    argv = ["revise", "--domain", str(domain), "--belief", "{ {} }", "--obs"]
+    assert _run(capsys, *argv, make(depth)) == (0, revised + "\n", "")
+    assert _run(capsys, *argv, make(depth + 1)) == (
+        1,
+        "",
+        f"bevo: error: --obs: line 1, col {col}: formula nested more than {depth} levels deep\n",
     )
-    assert (code, out) == (0, "{ {Acid} }\n")
 
 
 def test_postulates_is_imported_by_the_commands_that_use_it_only():

@@ -59,19 +59,36 @@ def _scenario(body: str) -> str:
 # Formulas.
 
 
-def test_parse_formula_structure():
-    assert parse_formula("p & !q", _SIG) == And(Atom("p"), Not(Atom("q")))
-    assert parse_formula("p | q & r", _SIG) == Or(Atom("p"), And(Atom("q"), Atom("r")))
-    assert parse_formula("(p | q) & r", _SIG) == And(Or(Atom("p"), Atom("q")), Atom("r"))
+_P, _Q, _R = Atom("p"), Atom("q"), Atom("r")
 
 
-def test_parse_formula_arrows_right_associative():
-    assert parse_formula("p -> q -> r", _SIG) == Implies(
-        Atom("p"), Implies(Atom("q"), Atom("r"))
-    )
-    assert parse_formula("p <-> q <-> r", _SIG) == Iff(
-        Atom("p"), Iff(Atom("q"), Atom("r"))
-    )
+# One case per ordered pair of binary connectives, each tree written out by
+# hand, so precedence and associativity are pinned apart from dsl._BINARY.
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("p & !q", And(_P, Not(_Q))),
+        ("(p | q) & r", And(Or(_P, _Q), _R)),
+        ("p & q & r", And(And(_P, _Q), _R)),
+        ("p & q | r", Or(And(_P, _Q), _R)),
+        ("p & q -> r", Implies(And(_P, _Q), _R)),
+        ("p & q <-> r", Iff(And(_P, _Q), _R)),
+        ("p | q & r", Or(_P, And(_Q, _R))),
+        ("p | q | r", Or(Or(_P, _Q), _R)),
+        ("p | q -> r", Implies(Or(_P, _Q), _R)),
+        ("p | q <-> r", Iff(Or(_P, _Q), _R)),
+        ("p -> q & r", Implies(_P, And(_Q, _R))),
+        ("p -> q | r", Implies(_P, Or(_Q, _R))),
+        ("p -> q -> r", Implies(_P, Implies(_Q, _R))),
+        ("p -> q <-> r", Iff(Implies(_P, _Q), _R)),
+        ("p <-> q & r", Iff(_P, And(_Q, _R))),
+        ("p <-> q | r", Iff(_P, Or(_Q, _R))),
+        ("p <-> q -> r", Iff(_P, Implies(_Q, _R))),
+        ("p <-> q <-> r", Iff(_P, Iff(_Q, _R))),
+    ],
+)
+def test_parse_formula_structure(text, tree):
+    assert parse_formula(text, _SIG) == tree
 
 
 def test_parse_formula_unknown_fluent_position():
@@ -757,6 +774,21 @@ def test_result_from_json_malformed(litmus, edit, message):
     edit(doc)
     with pytest.raises(ValueError, match=message):
         result_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "fluents, message",
+    [
+        ([["p"]], "fluent name must be a non-empty string: ['p']"),
+        (["p", "p"], "duplicate fluent names"),
+    ],
+)
+def test_result_from_json_locates_an_invalid_signature(fluents, message):
+    doc = {"signature": {"fluents": fluents, "actions": []}, "trajectories": [[]]}
+    doc.update(consistent=None, repairs=None)
+    with pytest.raises(ValueError) as e:
+        result_from_json(json.dumps(doc))
+    assert str(e.value) == "result document: field signature: " + message
 
 
 def test_result_from_json_not_an_object():

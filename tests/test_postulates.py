@@ -1,4 +1,7 @@
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from bevo import (
     universe,
     update,
 )
+from bevo.cli import main
 from bevo.postulates import (
     CounterexampleReport,
     Instance,
@@ -118,6 +122,32 @@ def test_check_interaction_repaired_instance():
     rep = check_interaction(inst)
     assert rep.notes == ("repaired",)
     assert rep.passed
+
+
+def test_check_interaction_fires_p2_when_a_repair_is_not_the_update():
+    """No P2 check passes vacuously: on a repaired instance, an operator that
+    answers with more than kappa's update fires P2 alone."""
+    sig = suite_signature(2)
+    ts = complete_transitions(sig, ())
+    inst = Instance(sig, ts, frozenset((0,)), ("a",), (frozenset(),))
+    rep = check_interaction(inst, operator=lambda kappa, acts, alpha: frozenset((0, 1)))
+    assert rep.notes == ("repaired",)
+    assert [(v.postulate, v.lhs, v.rhs) for v in rep.violations] == [
+        ("P2", frozenset((0, 1)), frozenset((0,)))
+    ]
+
+
+def test_check_interaction_fires_p3_when_part_of_the_update_is_dropped():
+    """No P3 check passes vacuously: an operator that keeps one state of
+    kappa's update met with the observation fires P3 alone."""
+    sig = suite_signature(2)
+    ts = complete_transitions(sig, ())
+    inst = Instance(sig, ts, frozenset((0, 1)), ("a",), (frozenset((0, 1, 2)),))
+    rep = check_interaction(inst, operator=lambda kappa, acts, alpha: frozenset((0,)))
+    assert rep.notes == ("consistent",)
+    assert [(v.postulate, v.lhs, v.rhs) for v in rep.violations] == [
+        ("P3", frozenset((0, 1)), frozenset((0,)))
+    ]
 
 
 def test_run_interaction_suite_small_scope():
@@ -277,6 +307,23 @@ def test_sampled_dp_and_lehmann_never_build_every_state_set(monkeypatch):
         assert run_suite(name, fluents=4, samples=10, seed=0).instances == 10
 
 
+@pytest.mark.parametrize("fluents", [4, 5])
+@pytest.mark.parametrize("samples", [None, 3])
+def test_i1i2_above_three_fluents_is_refused_at_once(monkeypatch, capsys, fluents, samples):
+    # Each system is checked over every belief state and observation: 2^32
+    # state sets at 5 fluents, so no sample count makes these scopes feasible.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the i1i2 suite built every subset of the states")
+
+    monkeypatch.setattr(postulates, "state_sets", refuse)
+    with pytest.raises(ValueError) as e:
+        run_suite("i1i2", fluents=fluents, samples=samples)
+    assert str(e.value) == "the i1i2 suite is capped at 3 fluents, sampled or not"
+    argv = ["check", "--suite", "i1i2", "--fluents", str(fluents)]
+    assert main(argv + ["--samples", str(samples)] * (samples is not None)) == 1
+    assert capsys.readouterr().err == f"bevo: error: {e.value}\n"
+
+
 def test_lehmann_counterexample_frozen():
     rep = lehmann_counterexample()
     assert isinstance(rep, CounterexampleReport)
@@ -369,3 +416,50 @@ def test_lehmann_length_one_checks_only_l2_in_both_modes(monkeypatch):
         rep = run_lehmann_suite(fluents=1, max_len=1, samples=samples)
         assert rep.instances == (9 if samples is None else 50)
         assert {v.postulate for v in rep.violations} == {"L2"}
+
+
+# The test that pins each postulate ID firing, as path::function from the
+# repository root.
+_HERE = "tests/test_postulates.py::"
+_AGM = "tests/test_agm_differential.py::test_small_scopes"
+_PINS = {
+    "P1": _HERE + "test_interaction_fires_p1_when_the_observation_is_ignored",
+    "P2": _HERE + "test_check_interaction_fires_p2_when_a_repair_is_not_the_update",
+    "P3": _HERE + "test_check_interaction_fires_p3_when_part_of_the_update_is_dropped",
+    "P4": _HERE + "test_interaction_fires_p1_when_the_observation_is_ignored",
+    "P5": _HERE + "test_naive_interaction_p5_example_frozen",
+    "I1": _HERE + "test_check_I1_I2_flags_broken_operator",
+    "I2": _HERE + "test_check_I1_I2_fires_i2_when_unreachable_observations_are_believed",
+    "AGM-i": _AGM,
+    "AGM-ii": _HERE + "test_check_agm_flags_flat_ranking",
+    "AGM-iii": _AGM,
+    "AGM-iv": _AGM,
+    "AGM-v": _AGM,
+    **dict.fromkeys(
+        ("DP1", "DP2", "DP3", "DP4", "REC"),
+        _HERE + "test_exhaustive_dp_fires_every_postulate_under_broken_operators",
+    ),
+    **dict.fromkeys(
+        ("L2", "L3", "L4*", "L5*", "L6*", "L7"),
+        "tests/test_suite_golden.py::test_report_digest_under_broken_operator",
+    ),
+}
+
+
+def test_every_postulate_id_has_a_test_that_pins_it_firing():
+    """The pin table covers exactly the IDs ``postulates.py`` defines: its
+    string literals of the ID shapes and the names of ``_LEHMANN``."""
+    source = Path(postulates.__file__).read_text()
+    literals = {
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    ids = {s for s in literals if re.fullmatch(r"P\d|I\d|AGM-[iv]+|DP\d|REC", s)}
+    ids |= {law.name for law in postulates._LEHMANN}
+    assert set(_PINS) == ids
+    root = Path(__file__).parent.parent
+    for pin in set(_PINS.values()):
+        path, name = pin.split("::")
+        tree = ast.parse((root / path).read_text())
+        assert name in {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}, pin
