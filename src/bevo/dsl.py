@@ -208,9 +208,9 @@ class _Cursor:
 # Formulas.  _BINARY gives each binary connective's symbol, precedence and
 # the levels of both operands, and is the one statement of precedence and
 # associativity: _parse_formula reads it level by level, loosest first, and
-# serialize_formula renders by it.  ! binds tightest, at level 4.  The arrows
-# read their right operand at their own level, so they right-associate; & and
-# | left-associate, so a right-nested one needs parens.
+# serialize_formula renders by it.  ! binds tightest, at level len(_BINARY).
+# Arrows read their right operand at their own level, so they right-associate;
+# & and | left-associate, so a right-nested one needs parens.
 _BINARY = {
     And: ("&", 3, 3, 4),
     Or: ("|", 2, 2, 3),
@@ -288,7 +288,7 @@ def serialize_formula(f: Formula) -> str:
             out.append(g.name)
         elif isinstance(g, Not):
             out.append("!")
-            todo.append((g.arg, 4))
+            todo.append((g.arg, len(_BINARY)))
         elif type(g) in _BINARY:
             op, prec, left, right = _BINARY[type(g)]
             parens = level > prec

@@ -171,21 +171,6 @@ class SuiteReport:
 # Scope enumeration.
 
 
-@dataclass(frozen=True)
-class ScopeBounds:
-    """Bounds for instance enumeration.
-
-    ``samples=None`` asks for exhaustive enumeration, which is only feasible
-    up to two fluents; otherwise a seeded pseudorandom stream of ``samples``
-    instances is produced.
-    """
-
-    fluents: int = 2
-    trajectory_len: int = 1
-    samples: Optional[int] = None
-    seed: int = 0
-
-
 def suite_signature(n_fluents: int, with_action: bool = True) -> Signature:
     if not 1 <= n_fluents <= len(_FLUENT_POOL):
         raise ValueError(
@@ -229,31 +214,31 @@ def _require_length(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
 
-def _instance_masks(bounds: ScopeBounds) -> Iterator[tuple[TransitionSystem, int, tuple, Sequence]]:
+def _instance_masks(
+    sig: Signature, trajectory_len: int, samples: Optional[int], seed: int
+) -> Iterator[tuple[TransitionSystem, int, tuple, Sequence]]:
     """(system, kappa mask, action trajectory, observation masks) per group
-    of instances, which differ only in the observation.
+    of instances, which differ only in the observation, over a resolved scope.
 
-    Exhaustive mode covers every deterministic single-action system, every
-    non-empty belief state, every trajectory over both actions up to the
-    length bound, and every observation, so a group's masks are all of
-    them.  Sampled mode draws each from the stream seeded by
-    ``bounds.seed``, in that order, so a group has one observation.
+    Exhaustive mode (``samples=None``) covers every deterministic
+    single-action system, every non-empty belief state, every trajectory
+    over both actions up to the length bound, and every observation, so a
+    group's masks are all of them.  Sampled mode draws each from the stream
+    seeded by ``seed``, in that order, so a group has one observation.
     """
-    _require_length("trajectory_len", bounds.trajectory_len)
-    sig, _, samples = _suite_scope("interaction", bounds.fluents, bounds.samples, None)
     size = 1 << sig.num_states
     if samples is None:
-        lengths = range(1, bounds.trajectory_len + 1)
+        lengths = range(1, trajectory_len + 1)
         trajectories = [trj for ln in lengths for trj in product(sig.actions, repeat=ln)]
         for ts in single_action_systems(sig):
             for kmask in range(1, size):
                 for acts in trajectories:
                     yield ts, kmask, acts, range(size)
     else:
-        rng = random.Random(bounds.seed)
+        rng = random.Random(seed)
         for _ in range(samples):
             ts = _random_system(rng, sig)
-            kmask, steps = rng.randrange(1, size), rng.randint(1, bounds.trajectory_len)
+            kmask, steps = rng.randrange(1, size), rng.randint(1, trajectory_len)
             acts = tuple(rng.choice(sig.actions) for _ in range(steps))
             yield ts, kmask, acts, (rng.randrange(size),)
 
@@ -262,14 +247,20 @@ def _instance(ts: TransitionSystem, kmask: int, acts: tuple[str, ...], amask: in
     return Instance(ts.signature, ts, _members(kmask), acts, (_members(amask),))
 
 
-def enumerate_instances(bounds: ScopeBounds) -> Iterator[Instance]:
-    """Instances (system, belief state, action trajectory, observation), as
+def enumerate_instances(
+    fluents: Optional[int] = None,
+    trajectory_len: int = 2,
+    samples: Optional[int] = None,
+    seed: int = 0,
+) -> Iterator[Instance]:
+    """The instances (system, belief state, action trajectory, observation)
+    that ``run_interaction_suite`` checks over the same scope, as
     ``_instance_masks`` gives them, one per observation of each group."""
-    return (
-        _instance(ts, kmask, acts, amask)
-        for ts, kmask, acts, amasks in _instance_masks(bounds)
-        for amask in amasks
-    )
+    _require_length("trajectory_len", trajectory_len)
+    sig, _, samples = _suite_scope("interaction", fluents, samples, None)
+    for ts, kmask, acts, amasks in _instance_masks(sig, trajectory_len, samples, seed):
+        for amask in amasks:
+            yield _instance(ts, kmask, acts, amask)
 
 
 class _Suite(NamedTuple):
@@ -415,13 +406,13 @@ def run_interaction_suite(
     with that trajectory.
     """
     sig, assign, samples = _suite_scope("interaction", fluents, samples, assign)
-    bounds = ScopeBounds(len(sig.fluents), trajectory_len, samples, seed)
+    _require_length("trajectory_len", trajectory_len)
     full = (1 << sig.num_states) - 1
     consistent_n = repaired_n = repaired_bad = 0
     vios: list[Violation] = []
     ts = ranked = None
     check = cache(_interaction_violations)
-    for group_ts, kmask, acts, amasks in _instance_masks(bounds):
+    for group_ts, kmask, acts, amasks in _instance_masks(sig, trajectory_len, samples, seed):
         if group_ts is not ts:
             ts, ranked, plans = group_ts, None, {}
             composite = cache(partial(_composite, ts=ts))
@@ -668,9 +659,9 @@ def _dp_violations(
         yield "REC", two_step, beta
 
 
-def check_dp(
-    assign: RankingAssignment,
-    sig: Signature,
+def run_dp_suite(
+    fluents: Optional[int] = None,
+    assign: RankingAssignment | None = None,
     samples: Optional[int] = None,
     seed: int = 0,
 ) -> SuiteReport:
@@ -680,6 +671,7 @@ def check_dp(
     under recency: conflicting evidence keeps the more recent observation.
     Quantifies over non-empty belief states and non-empty observations.
     """
+    sig, assign, samples = _suite_scope("dp", fluents, samples, assign)
     rev = partial(revise, assign=assign)
     if samples is None:
         nonempty = state_sets(sig, include_empty=False)
@@ -700,24 +692,13 @@ def check_dp(
     return SuiteReport("dp", _scope(sig, samples, seed, "triples"), count, tuple(vios))
 
 
-def run_dp_suite(
-    fluents: Optional[int] = None,
-    assign: RankingAssignment | None = None,
-    samples: Optional[int] = None,
-    seed: int = 0,
-) -> SuiteReport:
-    sig, assign, samples = _suite_scope("dp", fluents, samples, assign)
-    return check_dp(assign, sig, samples, seed)
-
-
-def naive_two_shot_dp_example(sig: Signature | None = None) -> Violation:
+def naive_two_shot_dp_example() -> Violation:
     """First instance where two plain revisions break an iterated postulate.
 
     The second revision reranks around the intermediate belief state and
     forgets the original one, which the iterated postulates do not allow.
     """
-    if sig is None:
-        sig = suite_signature(2, with_action=False)
+    sig = suite_signature(2, with_action=False)
     assign = dalal_assignment(sig)
     nonempty = state_sets(sig, include_empty=False)
     for kappa, beta, alpha in product(nonempty, repeat=3):
@@ -825,9 +806,9 @@ def _betas(law: _Law, alpha: StateSet, pool: _Obs, full: StateSet) -> _Obs:
     return pool
 
 
-def check_lehmann(
-    assign: RankingAssignment,
-    sig: Signature,
+def run_lehmann_suite(
+    fluents: Optional[int] = None,
+    assign: RankingAssignment | None = None,
     max_len: int = 3,
     samples: Optional[int] = None,
     seed: int = 0,
@@ -838,6 +819,7 @@ def check_lehmann(
     alpha whose sequences fit in ``max_len``, or checks a seeded stream of
     ``samples`` single draws.  Each beta value counts as one instance.
     """
+    sig, assign, samples = _suite_scope("lehmann", fluents, samples, assign)
     _require_length("max_len", max_len)
     full = universe(sig)
     vios: list[Violation] = []
@@ -890,17 +872,6 @@ def check_lehmann(
             check(law, kappa, fin, prefix, alpha, _betas(law, alpha, (beta,), full))
     scope = _scope(sig, samples, seed, f"len<={max_len}")
     return SuiteReport("lehmann", scope, count, tuple(vios))
-
-
-def run_lehmann_suite(
-    fluents: Optional[int] = None,
-    assign: RankingAssignment | None = None,
-    max_len: int = 3,
-    samples: Optional[int] = None,
-    seed: int = 0,
-) -> SuiteReport:
-    sig, assign, samples = _suite_scope("lehmann", fluents, samples, assign)
-    return check_lehmann(assign, sig, max_len, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import argparse
 import ast
+import inspect
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,11 +17,10 @@ from bevo import (
     universe,
     update,
 )
-from bevo.cli import main
+from bevo.cli import _parser, main
 from bevo.postulates import (
     CounterexampleReport,
     Instance,
-    ScopeBounds,
     SuiteReport,
     check_I1_I2,
     check_agm,
@@ -81,19 +83,18 @@ def test_single_action_systems_needs_one_action():
 
 def test_enumerate_instances_exhaustive_count():
     # 256 systems x 15 belief states x 2 one-step trajectories x 16 observations
-    n = sum(1 for _ in enumerate_instances(ScopeBounds(fluents=2, trajectory_len=1)))
+    n = sum(1 for _ in enumerate_instances(fluents=2, trajectory_len=1))
     assert n == 122_880
 
 
 def test_enumerate_instances_exhaustive_cap():
     with pytest.raises(ValueError):
-        next(enumerate_instances(ScopeBounds(fluents=3)))
+        next(enumerate_instances(fluents=3))
 
 
 def test_enumerate_instances_sampled_deterministic():
-    bounds = ScopeBounds(fluents=3, trajectory_len=2, samples=40, seed=7)
-    first = list(enumerate_instances(bounds))
-    second = list(enumerate_instances(bounds))
+    first = list(enumerate_instances(fluents=3, trajectory_len=2, samples=40, seed=7))
+    second = list(enumerate_instances(fluents=3, trajectory_len=2, samples=40, seed=7))
     assert len(first) == 40
     assert first == second
 
@@ -357,6 +358,49 @@ def test_run_suite_dispatch():
         run_suite("nonsense")
 
 
+def test_suite_runners_rank_each_belief_state_once_and_check_agm_does_not():
+    # Each run_*_suite caches the ranking of each belief state through
+    # _suite_scope; check_agm uses the assignment it is given, uncached.
+    sig = suite_signature(1, with_action=False)
+    dalal = dalal_assignment(sig)
+
+    def calls_per_kappa(run):
+        calls = Counter()
+
+        def counting(kappa):
+            calls[kappa] += 1
+            return dalal(kappa)
+
+        run(counting)
+        return calls
+
+    kappas = set(state_sets(sig, include_empty=False))
+    for run in (run_interaction_suite, run_i1i2_suite, run_agm_suite, run_dp_suite, run_lehmann_suite):
+        calls = calls_per_kappa(lambda assign: run(fluents=1, assign=assign))
+        assert set(calls) == kappas and max(calls.values()) == 1, run.__name__
+    calls = calls_per_kappa(lambda assign: check_agm(assign, sig))
+    assert set(calls) == kappas and min(calls.values()) > 1
+
+
+def test_enumerate_instances_takes_the_interaction_suites_default_scope():
+    def defaults(fn):
+        params = inspect.signature(fn).parameters.values()
+        return {p.name: p.default for p in params if p.name != "assign"}
+
+    assert defaults(enumerate_instances) == defaults(run_interaction_suite)
+    # Every instance is either counted or reported as repaired.
+    rep = run_interaction_suite(fluents=1)
+    repaired = int(rep.notes[0].split()[0])
+    assert sum(1 for _ in enumerate_instances(fluents=1)) == rep.instances + repaired
+
+
+def test_cli_suite_choices_are_the_suites():
+    # cli keeps its own copy of the names so that it need not import postulates.
+    (commands,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (suite,) = (a for a in commands.choices["check"]._actions if a.dest == "suite")
+    assert list(suite.choices) == list(postulates._SUITES)
+
+
 def test_suite_report_rendering():
     rep = SuiteReport("demo", "tiny", 3, (), ("a note",))
     assert rep.passed
@@ -389,6 +433,7 @@ def test_violation_describe_mentions_states():
         (lambda: run_interaction_suite(fluents=1, trajectory_len=0), "trajectory_len"),
         (lambda: run_interaction_suite(fluents=1, trajectory_len=0, samples=5), "trajectory_len"),
         (lambda: run_interaction_suite(fluents=2, trajectory_len=-1), "trajectory_len"),
+        (lambda: next(enumerate_instances(fluents=1, trajectory_len=0)), "trajectory_len"),
         (lambda: run_lehmann_suite(fluents=1, max_len=0), "max_len"),
         (lambda: run_lehmann_suite(fluents=1, max_len=0, samples=5), "max_len"),
     ],
@@ -396,6 +441,7 @@ def test_violation_describe_mentions_states():
         "interaction-exhaustive",
         "interaction-sampled",
         "interaction-negative",
+        "enumerate-instances",
         "lehmann-exhaustive",
         "lehmann-sampled",
     ],

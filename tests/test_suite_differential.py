@@ -17,7 +17,6 @@ import pytest
 import bevo.postulates as postulates
 from bevo import Ranking, combined_change, dalal_assignment, preimage, revise, update
 from bevo.postulates import (
-    ScopeBounds,
     check_I1_I2,
     check_interaction,
     enumerate_instances,
@@ -47,8 +46,7 @@ def _interaction_reference(fluents, trajectory_len, assign, samples, seed):
     """(instances, notes, violations) from one ``check_interaction`` per instance."""
     consistent = repaired = informational = 0
     vios = []
-    bounds = ScopeBounds(fluents, trajectory_len, samples, seed)
-    for inst in enumerate_instances(bounds):
+    for inst in enumerate_instances(fluents, trajectory_len, samples, seed):
         rep = check_interaction(inst, assign)
         if rep.notes == ("consistent",):
             consistent += 1
@@ -98,7 +96,7 @@ def test_interaction_sweep_exhaustive_two_fluent_slice(monkeypatch, seed, rankin
     # The exhaustive two-fluent scope, over a seeded slice of its systems.
     systems = random.Random(seed).sample(list(single_action_systems(suite_signature(2))), 16)
     monkeypatch.setattr(postulates, "single_action_systems", lambda sig: iter(systems))
-    assert sum(1 for _ in enumerate_instances(ScopeBounds(2, 1))) == 16 * 15 * 2 * 16
+    assert sum(1 for _ in enumerate_instances(2, 1)) == 16 * 15 * 2 * 16
     rep = _check_interaction_sweep(2, 1, ranking)
     assert rep.passed == (ranking == "dalal")
 
@@ -191,7 +189,7 @@ def test_interaction_violations_carry_their_own_trajectory(monkeypatch):
     # function, and the violations come in enumeration order.
     systems = random.Random(3).sample(list(single_action_systems(suite_signature(2))), 4)
     monkeypatch.setattr(postulates, "single_action_systems", lambda sig: iter(systems))
-    position = {inst: i for i, inst in enumerate(enumerate_instances(ScopeBounds(2, 2)))}
+    position = {inst: i for i, inst in enumerate(enumerate_instances(2, 2))}
     rep = run_interaction_suite(2, 2, _flat(2))
     found = [position[v.instance] for v in rep.violations]
     assert found == sorted(found)
@@ -217,6 +215,6 @@ def test_sampled_instances_draw_system_kappa_trajectory_then_observation(fluents
         want.append((succ, kappa, acts, rng.randrange(1 << n)))
     got = [
         (inst.ts.successor_map("a"), _bits(inst.kappa), inst.actions, _bits(inst.observations[0]))
-        for inst in enumerate_instances(ScopeBounds(fluents, 3, 60, seed))
+        for inst in enumerate_instances(fluents, 3, 60, seed)
     ]
     assert got == want
