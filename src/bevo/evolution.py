@@ -17,16 +17,17 @@ makes the repair unique.
 One forward walk gives each non-trivial observation a mask of the initial
 states whose run satisfies it, and a set of kept positions is a mask too,
 bit i for position i: it is consistent exactly when the AND of its
-observations' masks is non-zero.  ``_select`` is the one home of the
-repair choice, read by ``repairs``, ``minimal_repair_candidates`` and
-``iterated_revise``, which revises by its cores without building a
-transition system.  When the reliability levels are pairwise distinct
-(recency, primacy, distinct weights) it finds the preferred repair
-greedily, most reliable first, in one AND per observation.  Orders with
-ties walk the levels the same way: each kept set so far splits the initial
-states that satisfy it by the level's observations they satisfy, and keeps
-the maximal sets they witness, in at most 2jN ANDs for a level of j
-positions and N states.  Any number of observations can be repaired.
+observations' masks is non-zero.  ``_select`` is the one home of the repair
+choice, read by ``repairs``, ``minimal_repair_candidates`` and
+``_revision_cores``, which gives ``iterated_revise`` and the Lehmann sweep
+their cores without building a transition system.  When the reliability
+levels are pairwise distinct (recency, primacy, distinct weights) it finds
+the preferred repair greedily, most reliable first, in one AND per
+observation.  Orders with ties walk the levels the same way: each kept set
+so far splits the initial states that satisfy it by the level's observations
+they satisfy, and keeps the maximal sets they witness, in at most 2jN ANDs
+for a level of j positions and N states.  Any number of observations can be
+repaired.
 
 All operations here require a deterministic transition system.
 """
@@ -49,7 +50,7 @@ from .kernel import (
     _require_deterministic,
     universe,
 )
-from .revision import RankingAssignment, _revised, dalal_assignment, revise
+from .revision import Ranking, RankingAssignment, _revised, dalal_assignment, revise
 from .update import ActionTrajectory, update, update_seq
 
 ObservationTrajectory = tuple[StateSet, ...]
@@ -411,6 +412,36 @@ def final_state_shortcut(
     return revise(progressed, alpha, assign)
 
 
+def _revision_cores(
+    obs: ObservationTrajectory, sig: Signature, r: ReliabilityFunction
+) -> tuple[int, ...]:
+    """The masks ``iterated_revise`` revises kappa by, none depending on
+    kappa: the observations' meet, or each preferred repair's core in the
+    order ``repairs`` lists them, one when ``r`` is injective."""
+    # The masks _preimage_masks gives on the identity system: each
+    # observation's states, those outside the signature left out.
+    full = universe(sig)
+    masks = {i: _mask(o & full) for i, o in enumerate(obs) if o != full}
+    everything = (1 << sig.num_states) - 1
+    core = reduce(and_, masks.values(), everything)
+    if core:
+        return (core,)
+    kept = _select(masks, r(len(obs)), everything)
+    return tuple((_ordered(obs, kept, full) if len(kept) > 1 else kept).values())
+
+
+def _iterated_final(cores: tuple[int, ...], ranking: Ranking) -> StateSet:
+    """The one state ``ranking`` revises to by each of ``cores``, taken in
+    order so that an unranked state is named as evolution names it."""
+    finals = {_revised(core, ranking) for core in cores}
+    if len(finals) != 1:
+        raise ValueError(
+            "iterated revision is ambiguous under this reliability function; "
+            "use evolve for the full set of outcomes"
+        )
+    return _members(finals.pop())
+
+
 def iterated_revise(
     kappa: StateSet,
     observations: Sequence[StateSet],
@@ -420,14 +451,15 @@ def iterated_revise(
 ) -> StateSet:
     """Revise by a sequence of observations with no world change.
 
-    Runs evolution over an identity transition system with one noop step per
-    observation and returns the final belief state.  For two observations
-    beta then alpha this equals revising by their intersection when that is
-    non-empty, and revising by alpha alone otherwise.
+    The result is the final belief state of evolution over an identity
+    transition system with one noop step per observation.  For two
+    observations beta then alpha this equals revising by their intersection
+    when that is non-empty, and revising by alpha alone otherwise.
 
     On that system each observation is its own preimage and every update is
     the identity, so each evolution revises ``kappa`` once, by the core of
-    the observations its repair keeps, and that is computed directly.
+    the observations its repair keeps.  Those cores are computed directly,
+    with no transition system and no ``evolve``.
     """
     obs = tuple(frozenset(o) for o in observations)
     if not obs:
@@ -438,24 +470,4 @@ def iterated_revise(
         raise ValueError(f"unknown action {NULL_ACTION!r}")
     if assign is None:
         assign = dalal_assignment(sig)
-    # The masks _preimage_masks gives on the identity system: each
-    # observation's states, those outside the signature left out.
-    full = universe(sig)
-    masks = {i: _mask(o & full) for i, o in enumerate(obs) if o != full}
-    everything = (1 << sig.num_states) - 1
-    core = reduce(and_, masks.values(), everything)
-    if not core:
-        kept = _select(masks, r(len(obs)), everything)
-        if len(kept) > 1:
-            ranking = assign(kappa)
-            # In the order of the repairs, so an unranked state is named as
-            # evolution names it.
-            finals = {_revised(c, ranking) for c in _ordered(obs, kept, full).values()}
-            if len(finals) != 1:
-                raise ValueError(
-                    "iterated revision is ambiguous under this reliability function; "
-                    "use evolve for the full set of outcomes"
-                )
-            return _members(finals.pop())
-        (core,) = kept.values()
-    return _members(_revised(core, assign(kappa)))
+    return _iterated_final(_revision_cores(obs, sig, r), assign(kappa))

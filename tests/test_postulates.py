@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import bevo.evolution as evolution
 import bevo.postulates as postulates
 from bevo import (
     Ranking,
@@ -380,6 +381,33 @@ def test_suite_runners_rank_each_belief_state_once_and_check_agm_does_not():
         assert set(calls) == kappas and max(calls.values()) == 1, run.__name__
     calls = calls_per_kappa(lambda assign: check_agm(assign, sig))
     assert set(calls) == kappas and min(calls.values()) > 1
+
+
+def test_lehmann_sweep_shares_cores_only_under_bevos_own_operator(monkeypatch):
+    # The exhaustive sweep takes its shared-core path while
+    # postulates.iterated_revise is evolution.iterated_revise, read at call
+    # time, and calls a swapped-in operator once per kappa and sequence.
+    want = run_lehmann_suite(fluents=1)
+    real = evolution.iterated_revise
+    calls = Counter()
+
+    def counting(kappa, seq, *args, **kwargs):
+        calls[kappa, seq] += 1
+        return real(kappa, seq, *args, **kwargs)
+
+    # One wrapper under both names, as a tracer installs it.
+    monkeypatch.setattr(evolution, "iterated_revise", counting)
+    monkeypatch.setattr(postulates, "iterated_revise", counting)
+    assert run_lehmann_suite(fluents=1) == want
+    assert not calls
+
+    monkeypatch.setattr(evolution, "iterated_revise", real)
+    assert run_lehmann_suite(fluents=1) == want
+    # Every non-empty sequence of length 1-3, and L7's (empty, full) after a
+    # prefix of length 0 or 1.
+    n = len(state_sets(suite_signature(1), include_empty=False))
+    assert set(calls.values()) == {1}
+    assert len(calls) == n * (n + n**2 + n**3 + 1 + n)
 
 
 def test_enumerate_instances_takes_the_interaction_suites_default_scope():

@@ -4,23 +4,31 @@
 ``check_I1_I2`` takes each preimage once per (action, observation).  The
 references here evaluate every instance on its own through the public
 ``check_interaction`` (and so the public ``evolve``) and through a fresh
-``preimage`` per instance.  Broken or unfaithful rankings make the
-violation lists non-empty, so their order is compared too, and a partial
-ranking must fail the sweep and the reference with the same error.
+``preimage`` per instance.  The exhaustive ``run_lehmann_suite`` shares
+each observation sequence's cores across kappa; its final states are
+checked against the public ``iterated_revise``, and its report against the
+per-kappa path that a swapped-in operator takes.  Broken or unfaithful
+rankings make the violation lists non-empty, so their order is compared
+too, and a partial ranking must fail the sweep and the reference with the
+same error.
 """
 
 import random
-from functools import partial
+from functools import cache, partial
+from itertools import product
 
 import pytest
 
+import bevo.evolution as evolution
 import bevo.postulates as postulates
 from bevo import Ranking, combined_change, dalal_assignment, preimage, revise, update
+from bevo.kernel import _members
 from bevo.postulates import (
     check_I1_I2,
     check_interaction,
     enumerate_instances,
     run_interaction_suite,
+    run_lehmann_suite,
     single_action_systems,
     state_sets,
     suite_signature,
@@ -218,3 +226,60 @@ def test_sampled_instances_draw_system_kappa_trajectory_then_observation(fluents
         for inst in enumerate_instances(fluents, 3, 60, seed)
     ]
     assert got == want
+
+
+def _lehmann_assignment(name, fluents):
+    sig = suite_signature(fluents, with_action=False)
+    return sig, (dalal_assignment(sig) if name == "dalal" else _flat(fluents))
+
+
+def _check_shared_fins(sig, assign, pairs):
+    """The sweep's shared-core ``fin`` of each kappa against the public
+    operator, on each (kappa, sequence) pair."""
+    pairs = list(pairs)
+    fins = postulates._lehmann_fins(sig, cache(assign), tuple(dict.fromkeys(k for k, _ in pairs)))
+    for kappa, seq in pairs:
+        assert fins[kappa](seq) == evolution.iterated_revise(kappa, seq, sig, assign), (kappa, seq)
+
+
+@pytest.mark.parametrize("ranking", ["dalal", "flat"])
+@pytest.mark.parametrize("fluents", [1, 2])
+def test_lehmann_shared_cores_exhaustive(fluents, ranking):
+    # Every sequence of length 1-3 over every state set, the empty one
+    # included: L3 quantifies over it and L7 feeds in the complement of the
+    # full set.
+    sig, assign = _lehmann_assignment(ranking, fluents)
+    every = state_sets(sig)
+    seqs = [seq for n in (1, 2, 3) for seq in product(every, repeat=n)]
+    _check_shared_fins(sig, assign, product(every[1:], seqs))
+
+
+@pytest.mark.parametrize("ranking", ["dalal", "flat"])
+def test_lehmann_shared_cores_sampled_three_fluents(ranking):
+    sig, assign = _lehmann_assignment(ranking, 3)
+    rng = random.Random(7)
+    size = 1 << sig.num_states
+    pairs = [
+        (_members(rng.randrange(1, size)),
+         tuple(_members(rng.randrange(size)) for _ in range(rng.randint(1, 3))))
+        for _ in range(3000)
+    ]
+    _check_shared_fins(sig, assign, pairs)
+
+
+@pytest.mark.parametrize(
+    "fluents, max_len, ranking",
+    [(f, n, "dalal") for f in (1, 2) for n in (1, 2, 3)] + [(1, 3, "flat"), (2, 3, "flat")],
+)
+def test_lehmann_shared_cores_report_is_the_per_kappa_report(monkeypatch, fluents, max_len, ranking):
+    _, assign = _lehmann_assignment(ranking, fluents)
+    shared = run_lehmann_suite(fluents, assign, max_len)
+    # A forwarding wrapper is not bevo's own operator, so the sweep calls it
+    # once per kappa and sequence.
+    monkeypatch.setattr(
+        postulates, "iterated_revise", lambda *args, **kw: evolution.iterated_revise(*args, **kw)
+    )
+    assert run_lehmann_suite(fluents, assign, max_len) == shared
+    # Both rankings keep these laws; the broken operators of the golden
+    # tests are what break them.
+    assert shared.passed and shared.instances > 0
