@@ -29,6 +29,10 @@ they satisfy, and keeps the maximal sets they witness, in at most 2jN ANDs
 for a level of j positions and N states.  Any number of observations can be
 repaired.
 
+``_revised_plan`` is the one revision step: it ranks kappa once and revises
+each repair's core on masks.  ``evolve`` updates each revised start forward;
+``evolve_skeptical`` updates their union forward once.
+
 All operations here require a deterministic transition system.
 """
 
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .kernel import (
@@ -59,10 +63,6 @@ BeliefTrajectory = tuple[StateSet, ...]
 # Maps a trajectory length n to one reliability level per position; lower
 # levels are more reliable.
 ReliabilityFunction = Callable[[int], tuple[int, ...]]
-
-
-class InconsistentView(ValueError):
-    """Raised when an operation requires a consistent world view."""
 
 
 @dataclass(frozen=True)
@@ -172,25 +172,6 @@ def _forward(start: StateSet, view: WorldView, ts: TransitionSystem) -> BeliefTr
     for a in view.actions:
         trajectory.append(update(trajectory[-1], a, ts))
     return tuple(trajectory)
-
-
-def evolve_consistent(
-    kappa: StateSet,
-    view: WorldView,
-    ts: TransitionSystem,
-    assign: RankingAssignment | None = None,
-) -> BeliefTrajectory:
-    """Evolve through a view known to be consistent.
-
-    The initial belief state is revised by the intersection of the
-    observation pre-images; the rest of the trajectory is forward update.
-    Every entry i >= 1 of the result satisfies observation i by construction.
-    """
-    assign = _checked_assignment(kappa, ts, assign)
-    core = _meet(_preimage_masks(view, ts).values(), ts)
-    if not core:
-        raise InconsistentView("world view is inconsistent; repair it first")
-    return _forward(revise(kappa, _members(core), assign), view, ts)
 
 
 def _select(masks: dict[int, int], levels: Sequence[int], core: int) -> dict[int, int]:
@@ -331,16 +312,19 @@ def _plan(view: WorldView, ts: TransitionSystem, r: ReliabilityFunction) -> _Pla
     return False, fixed, tuple(cores)
 
 
-def _trajectories(
+def _revised_plan(
     kappa: StateSet,
-    cores: tuple[int, ...],
     view: WorldView,
     ts: TransitionSystem,
-    assign: RankingAssignment,
-) -> tuple[BeliefTrajectory, ...]:
-    """Revise ``kappa`` by each of a plan's core masks, decoded once for the
-    public ``revise``, and update forward."""
-    return tuple([_forward(revise(kappa, _members(core), assign), view, ts) for core in cores])
+    assign: RankingAssignment | None,
+    r: ReliabilityFunction,
+) -> _Plan:
+    """``_plan`` with each core replaced by its revision under ``kappa``'s
+    one ranking: the mask of that repair's initial belief state."""
+    assign = _checked_assignment(kappa, ts, assign)
+    was_consistent, fixed, cores = _plan(view, ts, r)
+    ranking = assign(kappa)
+    return was_consistent, fixed, tuple([_revised(core, ranking) for core in cores])
 
 
 def evolve(
@@ -356,9 +340,9 @@ def evolve(
     one trajectory per repair; with an injective reliability function (such
     as the default recency ordering) there is exactly one repair.
     """
-    assign = _checked_assignment(kappa, ts, assign)
-    was_consistent, fixed, cores = _plan(view, ts, r)
-    return EvolutionResult(was_consistent, fixed, _trajectories(kappa, cores, view, ts, assign))
+    was_consistent, fixed, starts = _revised_plan(kappa, view, ts, assign, r)
+    trajectories = tuple([_forward(_members(start), view, ts) for start in starts])
+    return EvolutionResult(was_consistent, fixed, trajectories)
 
 
 def evolve_skeptical(
@@ -369,8 +353,8 @@ def evolve_skeptical(
     r: ReliabilityFunction = recency,
 ) -> BeliefTrajectory:
     """Union the initial states of all repairs, then update forward once."""
-    result = evolve(kappa, view, ts, assign, r)
-    return _forward(frozenset().union(*(t[0] for t in result.trajectories)), view, ts)
+    starts = _revised_plan(kappa, view, ts, assign, r)[2]
+    return _forward(_members(reduce(or_, starts)), view, ts)
 
 
 def padded_view(

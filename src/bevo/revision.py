@@ -103,12 +103,6 @@ def dalal_assignment(sig: Signature) -> RankingAssignment:
     return lambda kappa: dalal_ranking(kappa, sig)
 
 
-def min_states(alpha: Iterable[int], ranking: Ranking) -> StateSet:
-    """The minimal-rank members of ``alpha``, unranked states skipped: the
-    paper's Min operation, kept public as such though no library path calls it."""
-    return _members(_least(_mask(alpha), ranking))
-
-
 def revise(kappa: StateSet, alpha: StateSet, assign: RankingAssignment) -> StateSet:
     """Keep the most plausible states of ``alpha`` under the ranking for ``kappa``.
 

@@ -208,7 +208,7 @@ def _clean(observations):
 
 
 @pytest.mark.parametrize("ts", _SYSTEMS2)
-def test_out_of_range_members_are_ignored_by_evolve_consistent_and_preimage(ts):
+def test_out_of_range_members_are_ignored_by_evolve_and_preimage(ts):
     for first, second in product(_OBSERVATIONS, repeat=2):
         padded = (first | _STRAY, second | {-1})
         view = WorldView(("a", "noop"), padded)

@@ -580,6 +580,27 @@ def test_parse_ranking_ranks_are_ascii_digits():
     )
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("ranking r\nfluents p\nbase { {} }\nlevel {}: 0\n", "unknown directive 'level'", 4, 6),
+        ("ranking r\n", "missing 'fluents' directive", 1, 1),
+        ("ranking r\nfluents p\nrank {}: 0\nrank {p}: 1\n", "missing 'base' directive", 1, 1),
+    ],
+)
+def test_parse_ranking_rejects_a_missing_or_unknown_directive(text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_ranking(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def test_serialize_formula_rejects_a_non_formula():
+    with pytest.raises(TypeError, match=r"^not a formula: 'p'$"):
+        serialize_formula("p")
+    with pytest.raises(TypeError, match=r"^not a formula: 3$"):
+        serialize_formula(Or(Atom("p"), 3))
+
+
 def test_parse_ranking_value_errors():
     with pytest.raises(ParseError):
         parse_ranking("ranking r\nfluents p\nbase { {} }\nrank {}: -1\n")

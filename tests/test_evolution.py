@@ -5,7 +5,6 @@ from hypothesis import assume, given
 import bevo.evolution as evolution
 from bevo import (
     EvolutionResult,
-    InconsistentView,
     WorldView,
     combined_change,
     complete_transitions,
@@ -13,7 +12,6 @@ from bevo import (
     constant,
     dalal_ranking,
     evolve,
-    evolve_consistent,
     evolve_skeptical,
     final_state_shortcut,
     fixed_weights,
@@ -109,6 +107,7 @@ def test_every_entry_rejects_nondeterminism_with_one_message(tiny_sig):
     one, view = frozenset((1,)), WorldView(("a",), (frozenset((1,)),))
     calls = [
         lambda: evolve(one, view, nondet),
+        lambda: evolve_skeptical(one, view, nondet),
         lambda: consistent(view, nondet),
         lambda: repairs(view, nondet),
         lambda: preimage(one, ("a",), nondet),
@@ -139,31 +138,8 @@ def test_consistent_detects_conflict(conflict_view, litmus):
     assert not consistent(conflict_view, litmus.ts)
 
 
-def test_evolve_consistent_litmus_golden(litmus):
+def test_evolve_litmus_golden(litmus):
     """Dip the paper, observe red: only the acid world survives."""
-    sig = litmus.signature
-    kappa = frozenset((state_of(sig), state_of(sig, "Acid")))
-    view = WorldView(("dip",), (_red_states(sig),))
-    trajectory = evolve_consistent(kappa, view, litmus.ts)
-    assert trajectory == (
-        frozenset((state_of(sig, "Acid"),)),
-        frozenset((state_of(sig, "Red", "Acid"),)),
-    )
-
-
-def test_evolve_consistent_rejects_inconsistent(conflict_view, litmus):
-    kappa = frozenset((0,))
-    with pytest.raises(InconsistentView):
-        evolve_consistent(kappa, conflict_view, litmus.ts)
-
-
-def test_evolve_consistent_rejects_empty_belief(litmus):
-    view = WorldView(("dip",), (universe(litmus.signature),))
-    with pytest.raises(ValueError):
-        evolve_consistent(frozenset(), view, litmus.ts)
-
-
-def test_evolve_wraps_consistent_case(litmus):
     sig = litmus.signature
     kappa = frozenset((state_of(sig), state_of(sig, "Acid")))
     view = WorldView(("dip",), (_red_states(sig),))
@@ -171,7 +147,16 @@ def test_evolve_wraps_consistent_case(litmus):
     assert isinstance(res, EvolutionResult)
     assert res.was_consistent
     assert res.repaired_views == (view.observations,)
-    assert res.trajectories == (evolve_consistent(kappa, view, litmus.ts),)
+    assert res.trajectories == (
+        (frozenset((state_of(sig, "Acid"),)), frozenset((state_of(sig, "Red", "Acid"),))),
+    )
+
+
+def test_evolve_rejects_empty_belief(litmus):
+    view = WorldView(("dip",), (universe(litmus.signature),))
+    for entry in (evolve, evolve_skeptical):
+        with pytest.raises(ValueError, match="^cannot evolve an empty belief state$"):
+            entry(frozenset(), view, litmus.ts)
 
 
 def test_evolve_repairs_conflict_by_recency(conflict_view, litmus):

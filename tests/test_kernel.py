@@ -254,6 +254,20 @@ def test_successors_unknown_action(tiny_sig):
         ts.successors(0, "zzz")
 
 
+@pytest.mark.parametrize("state", [-1, 4])
+def test_successors_rejects_a_state_out_of_range(tiny_sig, state):
+    ts = complete_transitions(tiny_sig, ())
+    with pytest.raises(ValueError, match=f"^state index {state} out of range$"):
+        ts.successors(state, "a")
+
+
+def test_models_rejects_a_non_formula(tiny_sig):
+    with pytest.raises(TypeError, match=r"^not a formula: 'p'$"):
+        models("p", tiny_sig)
+    with pytest.raises(TypeError, match=r"^not a formula: None$"):
+        models(Not(And(Atom("p"), None)), tiny_sig)
+
+
 def test_litmus_fixture_shape(litmus):
     sig = litmus.signature
     assert sig.fluents == ("Red", "Blue", "Acid")

@@ -299,6 +299,18 @@ def test_run_lehmann_suite_sampled_path():
     assert rep.instances == 200
 
 
+def test_run_lehmann_suite_caps_the_exhaustive_length():
+    with pytest.raises(ValueError, match="^the exhaustive sequence sweep is capped at length 3$"):
+        run_lehmann_suite(fluents=1, max_len=4)
+
+
+def test_check_interaction_needs_a_transition_system():
+    sig = suite_signature(1)
+    inst = Instance(sig, None, frozenset((0,)), ("a",), (frozenset((1,)),))
+    with pytest.raises(ValueError, match="^interaction instances need a transition system$"):
+        check_interaction(inst)
+
+
 def test_sampled_dp_and_lehmann_never_build_every_state_set(monkeypatch):
     # At 4 fluents the power set has 65,536 members; a sampled run needs none.
     def refuse(*args, **kwargs):

@@ -11,7 +11,6 @@ from bevo import (
     dalal_assignment,
     dalal_ranking,
     make_signature,
-    min_states,
     revise,
     shift_ranking,
     update,
@@ -97,8 +96,6 @@ def test_revise_rejects_an_unranked_state(alpha, bad):
 def test_revise_by_ranked_states_of_a_partial_ranking():
     assert revise(frozenset((0,)), frozenset((0, 2)), _partial) == frozenset((0,))
     assert revise(frozenset((0,)), frozenset((2,)), _partial) == frozenset((2,))
-    # min_states skips unranked states instead.
-    assert min_states(frozenset((1, 2, 3)), _partial(None)) == frozenset((2,))
 
 
 def test_ranked_mask_leaves_equality_alone():
@@ -138,6 +135,13 @@ def test_revise_empty_belief_state():
         revise(frozenset(), frozenset((0,)), dalal_assignment(_SIG))
 
 
+def test_combined_change_empty_belief_state():
+    sig1 = make_signature(("p",), ("a",))
+    ts = complete_transitions(sig1, [(0, "a", 1)])
+    with pytest.raises(ValueError, match="^cannot change an empty belief state$"):
+        combined_change(frozenset(), "a", frozenset((1,)), ts)
+
+
 @given(_nonempty, _any_set)
 def test_revise_stays_inside_observation(kappa, alpha):
     out = revise(kappa, alpha, dalal_assignment(_SIG))
@@ -151,14 +155,13 @@ def test_revise_compatible_intersects(kappa, alpha):
         assert revise(kappa, alpha, dalal_assignment(_SIG)) == kappa & alpha
 
 
-def test_min_states_skips_unranked():
+def test_shift_ranking_leaves_unreachable_states_unranked():
     sig1 = make_signature(("p",), ("a",))
     ts = complete_transitions(sig1, [(0, "a", 1)])
     shifted = shift_ranking(dalal_ranking(frozenset((0,)), sig1), "a", ts)
     # state 0 is unreachable through 'a', so it has no shifted rank
     assert shifted.rank_of(0) is None
     assert shifted.domain == frozenset((1,))
-    assert min_states(frozenset((0, 1)), shifted) == frozenset((1,))
 
 
 def test_shift_ranking_golden():
