@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .kernel import (
@@ -23,6 +24,7 @@ from .kernel import (
     _image,
     _mask,
     _members,
+    _state_mask,
     complete_transitions,
     format_state,
     format_state_set,
@@ -67,10 +69,7 @@ class Instance:
 
     def describe(self) -> str:
         sig = self.signature
-        parts = [
-            "fluents " + " ".join(sig.fluents),
-            "kappa " + format_state_set(sig, self.kappa),
-        ]
+        parts = ["fluents " + " ".join(sig.fluents), "kappa " + format_state_set(sig, self.kappa)]
         if self.ts is not None:
             moves = (
                 f"{a}: {format_state(sig, s)} -> {format_state(sig, d)}"
@@ -86,10 +85,7 @@ class Instance:
 
     def to_data(self) -> dict:
         sig = self.signature
-        data: dict = {
-            "fluents": list(sig.fluents),
-            "kappa": states_data(sig, self.kappa),
-        }
+        data: dict = {"fluents": list(sig.fluents), "kappa": states_data(sig, self.kappa)}
         if self.ts is not None:
             data["transitions"] = [
                 [list(true_fluents(sig, s)), a, list(true_fluents(sig, d))]
@@ -98,9 +94,7 @@ class Instance:
             ]
         if self.actions:
             data["actions"] = list(self.actions)
-        data["observations"] = [
-            states_data(sig, obs) for obs in self.observations
-        ]
+        data["observations"] = [states_data(sig, obs) for obs in self.observations]
         return data
 
 
@@ -200,13 +194,8 @@ def single_action_systems(sig: Signature) -> Iterator[TransitionSystem]:
 
 def _random_system(rng: random.Random, sig: Signature) -> TransitionSystem:
     n = sig.num_states
-    triples = [
-        (s, a, rng.randrange(n))
-        for a in sig.actions
-        if a != NULL_ACTION
-        for s in range(n)
-    ]
-    return complete_transitions(sig, triples)
+    acts = [a for a in sig.actions if a != NULL_ACTION]
+    return complete_transitions(sig, [(s, a, rng.randrange(n)) for a in acts for s in range(n)])
 
 
 def _require_length(name: str, value: int) -> None:
@@ -714,73 +703,88 @@ def naive_two_shot_dp_example() -> Violation:
 # Observation-sequence postulates (Lehmann 1995).
 #
 # ``fin(seq)`` is the final state of observation-only evolution under
-# recency from a fixed kappa.  Each law takes ``fin``, one (prefix, alpha)
-# and the beta values it quantifies over, and yields (observations, lhs,
-# rhs) per violation.  Sequence components are non-empty, except for the
-# complements inside L7.  With a ``suffix`` O', the starred laws become the
-# unstarred L4, L5 and L6, which evolution does not satisfy.
+# recency from a fixed kappa, read as a lane word: lane i, ``num_states``
+# bits wide, holds its mask for the i-th kappa, so one check covers every
+# kappa of a sweep.  Each law takes the lanes, one (prefix, alpha) and the
+# beta masks it quantifies over, and yields (broken lanes by their top bit,
+# observation masks, lhs, rhs words).  Sequence components are non-empty,
+# except for the complements inside L7.  With a ``suffix`` O', the starred
+# laws become the unstarred L4, L5 and L6, which evolution does not satisfy.
 
 _Obs = tuple[StateSet, ...]
-_Fin = Callable[[_Obs], StateSet]
-_Found = Iterator[tuple[_Obs, StateSet, StateSet]]
+_Seq = tuple[int, ...]
+_Hits = Iterator[tuple[int, _Seq, int, int]]
 
 
-def _l2(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs) -> _Found:
+class _Lanes(NamedTuple):
+    """``fin`` as lane words, and the constants that split them into lanes."""
+
+    fin: Callable[[_Seq], int]
+    unit: int  # each lane's lowest bit: a mask times ``unit`` is in every lane
+    low: int  # each lane's bits below its top one
+    high: int  # each lane's top bit
+
+    def nonempty(self, x: int) -> int:
+        """The top bit of each lane of ``x`` with a state: a low bit carries into it."""
+        return ((x & self.low) + self.low | x) & self.high
+
+
+def _l2(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
     """The final observation always holds afterwards."""
-    got = fin(prefix + (alpha,))
-    if not got <= alpha:
-        yield prefix + (alpha,), got, alpha
+    got, rhs = ln.fin(prefix + (alpha,)), alpha * ln.unit
+    yield ln.nonempty(got & ~rhs), prefix + (alpha,), got, rhs
 
 
-def _l3(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs) -> _Found:
+def _l3(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
     """Observing an already believed alpha adds no new belief beta."""
-    f_o = fin(prefix)
-    if f_o <= alpha:
-        f_oa = fin(prefix + (alpha,))
-        for beta in betas:
-            if f_oa <= beta and not f_o <= beta:
-                yield prefix + (alpha, beta), f_o, beta
+    f_o = ln.fin(prefix)
+    held = ln.high & ~ln.nonempty(f_o & ~(alpha * ln.unit))
+    # Only where f_o is not inside f_oa can a beta (f_oa itself) break it.
+    f_oa = ln.fin(prefix + (alpha,)) if held else f_o
+    held &= ln.nonempty(f_o & ~f_oa)
+    for beta in betas if held else ():
+        rhs = beta * ln.unit
+        bad = held & ln.nonempty(f_o & ~rhs) & ~ln.nonempty(f_oa & ~rhs)
+        yield bad, prefix + (alpha, beta), f_o, rhs
 
 
-def _l4(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs, suffix: _Obs = ()) -> _Found:
+def _l4(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) -> _Hits:
     """Appending an observation that is already believed is a no-op."""
-    if fin(prefix) <= alpha:
-        lhs, rhs = fin(prefix + suffix), fin(prefix + (alpha,) + suffix)
-        if lhs != rhs:
-            yield prefix + (alpha,) + suffix, lhs, rhs
+    held = ln.high & ~ln.nonempty(ln.fin(prefix) & ~(alpha * ln.unit))
+    if held:
+        lhs, rhs = ln.fin(prefix + suffix), ln.fin(prefix + (alpha,) + suffix)
+        yield held & ln.nonempty(lhs ^ rhs), prefix + (alpha,) + suffix, lhs, rhs
 
 
-def _l5(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs, suffix: _Obs = ()) -> _Found:
+def _l5(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) -> _Hits:
     """A weaker observation right before a stronger one is superfluous."""
     for beta in betas:
-        lhs, rhs = fin(prefix + (alpha, beta) + suffix), fin(prefix + (beta,) + suffix)
-        if lhs != rhs:
-            yield prefix + (alpha, beta) + suffix, lhs, rhs
+        lhs, rhs = ln.fin(prefix + (alpha, beta) + suffix), ln.fin(prefix + (beta,) + suffix)
+        yield ln.nonempty(lhs ^ rhs), prefix + (alpha, beta) + suffix, lhs, rhs
 
 
-def _l6(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs, suffix: _Obs = ()) -> _Found:
+def _l6(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) -> _Hits:
     """Refining by a live beta equals refining by its meet with alpha."""
-    live = fin(prefix + (alpha,))
+    live = ln.fin(prefix + (alpha,))
     for beta in betas:
-        if live & beta:
-            lhs = fin(prefix + (alpha, beta) + suffix)
-            rhs = fin(prefix + (alpha, alpha & beta) + suffix)
-            if lhs != rhs:
-                yield prefix + (alpha, beta) + suffix, lhs, rhs
+        held = ln.nonempty(live & beta * ln.unit)
+        if held:
+            lhs = ln.fin(prefix + (alpha, beta) + suffix)
+            rhs = ln.fin(prefix + (alpha, alpha & beta) + suffix)
+            yield held & ln.nonempty(lhs ^ rhs), prefix + (alpha, beta) + suffix, lhs, rhs
 
 
-def _l7(fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs) -> _Found:
+def _l7(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
     """Observing alpha's complement just before alpha loses no state alpha alone keeps."""
-    lhs = fin(prefix + (alpha,))
+    lhs = ln.fin(prefix + (alpha,))
     for complement in betas:
-        rhs = fin(prefix + (complement, alpha))
-        if not lhs <= rhs:
-            yield prefix + (alpha,), lhs, rhs
+        rhs = ln.fin(prefix + (complement, alpha))
+        yield ln.nonempty(lhs & ~rhs), prefix + (alpha,), lhs, rhs
 
 
 class _Law(NamedTuple):
     name: str
-    check: Callable[..., _Found]
+    check: Callable[..., _Hits]
     min_prefix: int  # shortest prefix swept
     appended: int  # observations the law appends to its prefix
     betas: Optional[str]  # "every", "nonempty", "below" alpha, "complement"
@@ -796,31 +800,55 @@ _LEHMANN = (
 )
 
 
-def _betas(law: _Law, alpha: StateSet, pool: _Obs, full: StateSet) -> _Obs:
-    """The beta values ``law`` quantifies over for ``alpha``, drawn from ``pool``."""
+def _betas(law: _Law, alpha: int, pool: Sequence[int], full: int) -> Sequence[int]:
+    """The beta masks ``law`` quantifies over for ``alpha``, drawn from ``pool``."""
     if law.betas is None:
         return ()
     if law.betas == "complement":
-        return (full - alpha,)
+        return (full ^ alpha,)
     if law.betas == "below":
-        return tuple(beta for beta in pool if beta <= alpha)
+        return tuple(beta for beta in pool if beta | alpha == alpha)
     return pool
 
 
-def _lehmann_fins(sig: Signature, assign: RankingAssignment, kappas: _Obs) -> dict[StateSet, _Fin]:
-    """Each kappa's memoised ``fin``: while ``iterated_revise`` is bevo's own
-    (both names read now, so a tracer wrapping both alike keeps this path),
-    a sequence's cores are shared across kappa and each kappa revises once
-    per core; a swapped-in operator is called once per kappa and sequence."""
-    if iterated_revise is not evolution.iterated_revise:
-        return {k: cache(partial(iterated_revise, k, sig=sig, assign=assign)) for k in kappas}
-    cores = cache(partial(_revision_cores, sig=sig, r=recency))
+def _lehmann_lanes(
+    sig: Signature, assign: RankingAssignment, kappas: _Obs, memo: bool = True
+) -> _Lanes:
+    """Lane words, lane i for ``kappas[i]``.  With ``memo`` and bevo's own
+    ``iterated_revise`` (both names read now; a tracer wraps both alike), a
+    word is built once per tuple of cores, which do not depend on kappa.  Else
+    the operator runs for every kappa: per call, or with ``memo`` once per
+    sequence any lane needs; ``_state_mask`` stops a stray state spilling over."""
+    n = sig.num_states
+    shifts = range(0, n * len(kappas), n)
+    if memo and iterated_revise is evolution.iterated_revise:
+        ranked = list(zip(shifts, map(assign, kappas)))
+        word = cache(lambda cores: sum(_mask(_iterated_final(cores, r)) << s for s, r in ranked))
+        def fin(seq: _Seq) -> int:
+            return word(_revision_cores(tuple(map(_members, seq)), sig, recency))
+    else:
+        def fin(seq: _Seq) -> int:
+            obs, word = tuple(map(_members, seq)), 0
+            for s, kappa in zip(shifts, kappas):
+                word |= _state_mask(iterated_revise(kappa, obs, sig=sig, assign=assign), n) << s
+            return word
 
-    def fin(kappa: StateSet) -> _Fin:
-        final = cache(partial(_iterated_final, ranking=assign(kappa)))
-        return cache(lambda seq: final(cores(seq)))
+    unit = sum(1 << s for s in shifts)
+    return _Lanes(cache(fin) if memo else fin, unit, (unit << n - 1) - unit, unit << n - 1)
 
-    return {k: fin(k) for k in kappas}
+
+def _lane_violations(name: str, sig: Signature, kappas: _Obs, hits: _Hits) -> list[Violation]:
+    """A violation of ``name`` per broken lane of ``hits`` (i for ``kappas[i]``), stably by lane."""
+    n, full = sig.num_states, (1 << sig.num_states) - 1
+    found = []
+    for bad, obs, lhs, rhs in hits:
+        while bad:
+            s = (bad & -bad).bit_length() - n  # the lane's shift
+            bad &= bad - 1
+            found.append((s, Instance(sig, None, kappas[s // n], (), tuple(map(_members, obs))),
+                          _members(lhs >> s & full), _members(rhs >> s & full)))
+    found.sort(key=itemgetter(0))
+    return [Violation(name, *vio) for _, *vio in found]
 
 
 def run_lehmann_suite(
@@ -834,44 +862,33 @@ def run_lehmann_suite(
 
     Sweeps each law of ``_LEHMANN`` over every non-empty kappa, prefix and
     alpha whose sequences fit in ``max_len``, or checks a seeded stream of
-    ``samples`` single draws.  Each beta value counts as one instance.
+    ``samples`` single draws.  Each beta value counts as one instance.  The
+    sweep checks each (prefix, alpha) for every kappa at once, one lane
+    each, and lists a law's violations by kappa, prefix, alpha and beta.
     """
     sig, assign, samples = _suite_scope("lehmann", fluents, samples, assign)
     _require_length("max_len", max_len)
-    full = universe(sig)
+    full = (1 << sig.num_states) - 1
     vios: list[Violation] = []
     count = 0
-
-    def check(
-        law: _Law, kappa: StateSet, fin: _Fin, prefix: _Obs, alpha: StateSet, betas: _Obs
-    ) -> None:
-        nonlocal count
-        count += len(betas) or 1
-        for obs, lhs, rhs in law.check(fin, prefix, alpha, betas):
-            vios.append(Violation(law.name, Instance(sig, None, kappa, (), obs), lhs, rhs))
-
     if samples is None:
         if max_len > 3:
             raise ValueError("the exhaustive sequence sweep is capped at length 3")
-        every = state_sets(sig)
-        nonempty = every[1:]
-        fins = _lehmann_fins(sig, assign, nonempty)
+        kappas = state_sets(sig, include_empty=False)
+        lanes = _lehmann_lanes(sig, assign, kappas)
+        nonempty = range(1, full + 1)
         for law in _LEHMANN:
             # Prefixes as long as leave room for what the law appends.
             lengths = range(law.min_prefix, max_len - law.appended + 1)
             prefixes = [seq for ln in lengths for seq in product(nonempty, repeat=ln)]
-            pool = every if law.betas == "every" else nonempty
+            pool = range(full + 1) if law.betas == "every" else nonempty
             alphas = [(alpha, _betas(law, alpha, pool, full)) for alpha in nonempty]
-            for kappa in nonempty:
-                for prefix in prefixes:
-                    for alpha, betas in alphas:
-                        check(law, kappa, fins[kappa], prefix, alpha, betas)
+            count += len(kappas) * len(prefixes) * sum(len(betas) or 1 for _, betas in alphas)
+            checks = (law.check(lanes, prefix, *alpha) for prefix in prefixes for alpha in alphas)
+            vios += _lane_violations(law.name, sig, kappas, chain.from_iterable(checks))
     else:
-        rng, size = random.Random(seed), 1 << sig.num_states
-
-        def draw() -> StateSet:
-            return _members(rng.randrange(1, size))
-
+        rng = random.Random(seed)
+        draw = partial(rng.randrange, 1, full + 1)
         # Draw kappa, alpha, beta, the law, then a prefix one shorter than
         # the sweep's longest for the laws that need one, which get (beta,)
         # if it comes out empty.  L5* needs beta below alpha.  Only the laws
@@ -881,12 +898,13 @@ def run_lehmann_suite(
             kappa, alpha, beta = draw(), draw(), draw()
             law = laws[rng.randrange(len(laws))]
             longest = max_len - law.appended - law.min_prefix
-            prefix = tuple(draw() for _ in range(rng.randint(0, longest)))
-            prefix = prefix or (beta,) * law.min_prefix
+            prefix = tuple(draw() for _ in range(rng.randint(0, longest))) or (beta,) * law.min_prefix
             if law.betas == "below":
                 alpha, beta = alpha | beta, alpha & beta or alpha
-            fin = partial(iterated_revise, kappa, sig=sig, assign=assign)
-            check(law, kappa, fin, prefix, alpha, _betas(law, alpha, (beta,), full))
+            kappas, betas = (_members(kappa),), _betas(law, alpha, (beta,), full)
+            count += len(betas) or 1
+            hits = law.check(_lehmann_lanes(sig, assign, kappas, False), prefix, alpha, betas)
+            vios += _lane_violations(law.name, sig, kappas, hits)
     scope = _scope(sig, samples, seed, f"len<={max_len}")
     return SuiteReport("lehmann", scope, count, tuple(vios))
 
@@ -911,23 +929,14 @@ class CounterexampleReport:
     held: tuple[str, ...]
 
     def render_text(self) -> str:
-        lines = [
-            f"after {label}: {format_state_set(self.signature, val)}"
-            for label, val in self.values.items()
-        ]
-        lines.append("failed: " + " ".join(self.failed))
-        lines.append("held: " + " ".join(self.held))
+        sig = self.signature
+        lines = [f"after {label}: {format_state_set(sig, val)}" for label, val in self.values.items()]
+        lines += ["failed: " + " ".join(self.failed), "held: " + " ".join(self.held)]
         return "\n".join(lines)
 
     def to_data(self) -> dict:
-        return {
-            "values": {
-                label: states_data(self.signature, val)
-                for label, val in self.values.items()
-            },
-            "failed": list(self.failed),
-            "held": list(self.held),
-        }
+        values = {label: states_data(self.signature, val) for label, val in self.values.items()}
+        return {"values": values, "failed": list(self.failed), "held": list(self.held)}
 
 
 def lehmann_counterexample() -> CounterexampleReport:
@@ -943,31 +952,22 @@ def lehmann_counterexample() -> CounterexampleReport:
     """
     sig = suite_signature(2, with_action=False)
     assign = dalal_assignment(sig)
-    s1, s2, s3 = 0, 1, 2
-    kappa = frozenset((s1,))
-    o = frozenset((s3,))
-    alpha = frozenset((s2, s3))
-    beta = frozenset((s3,))
-    o_prime = frozenset((s1, s2))
-    gamma = frozenset((s1, s3))
+    s1, s2, s3 = 0b001, 0b010, 0b100  # the masks of states 0, 1 and 2
+    kappa, o, alpha, beta, o_prime, gamma = s1, s3, s2 | s3, s3, s1 | s2, s1 | s3
 
     # The Hamming assignment must realize the single revisions the example
     # is built from; anything else would invalidate the whole report.
-    prelude = {o: o, o_prime: kappa, frozenset((s2,)): frozenset((s2,)), kappa: kappa}
-    for a, want in prelude.items():
-        got = revise(kappa, a, assign)
+    for a, want in {o: o, o_prime: kappa, s2: s2, kappa: kappa}.items():
+        a, want, got = _members(a), _members(want), revise(_members(kappa), _members(a), assign)
         if got != want:
-            raise RuntimeError(f"ranking fails to realize {a} -> {want}, got {got}")
+            raise RuntimeError(f"ranking fails to realize {_members(a)} -> {want}, got {got}")
 
-    fin = partial(iterated_revise, kappa, sig=sig, assign=assign)
-    values = {
-        "O": fin((o,)),
-        "O,O'": fin((o, o_prime)),
-        "O,a,O'": fin((o, alpha, o_prime)),
-        "O,a": fin((o, alpha)),
-        "O,a,g,O'": fin((o, alpha, gamma, o_prime)),
-        "O,a,a&g,O'": fin((o, alpha, gamma & alpha, o_prime)),
+    lanes = _lehmann_lanes(sig, assign, (_members(kappa),), False)
+    sequences = {
+        "O": (o,), "O,O'": (o, o_prime), "O,a,O'": (o, alpha, o_prime), "O,a": (o, alpha),
+        "O,a,g,O'": (o, alpha, gamma, o_prime), "O,a,a&g,O'": (o, alpha, gamma & alpha, o_prime),
     }
+    values = {label: _members(lanes.fin(seq)) for label, seq in sequences.items()}
 
     # The unstarred L4, L5 and L6 first, then the six laws as swept.
     verdicts = [(law.name[:-1], law, {"suffix": (o_prime,)}) for law in _LEHMANN if "*" in law.name]
@@ -975,8 +975,8 @@ def lehmann_counterexample() -> CounterexampleReport:
     failed, held = [], []
     for name, law, suffix in verdicts:
         pool = (gamma,) if law.name == "L6*" else (beta,)
-        betas = _betas(law, alpha, pool, universe(sig))
-        broken = any(True for _ in law.check(fin, (o,), alpha, betas, **suffix))
+        betas = _betas(law, alpha, pool, (1 << sig.num_states) - 1)
+        broken = any(bad for bad, *_ in law.check(lanes, (o,), alpha, betas, **suffix))
         (failed if broken else held).append(name)
     return CounterexampleReport(sig, values, tuple(failed), tuple(held))
 

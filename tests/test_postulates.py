@@ -422,6 +422,20 @@ def test_lehmann_sweep_shares_cores_only_under_bevos_own_operator(monkeypatch):
     assert len(calls) == n * (n + n**2 + n**3 + 1 + n)
 
 
+@pytest.mark.parametrize("samples", [None, 5])
+def test_lehmann_refuses_a_final_state_outside_the_signature(monkeypatch, samples):
+    # A sweep packs each kappa's final state into num_states bits of one
+    # word; a state index past them would land in the next kappa's bits.
+    def outside(kappa, seq, sig, assign=None):
+        return frozenset((sig.num_states,))
+
+    monkeypatch.setattr(postulates, "iterated_revise", outside)
+    with pytest.raises(ValueError, match="^state index 2 out of range$"):
+        run_lehmann_suite(fluents=1, max_len=2, samples=samples)
+    with pytest.raises(ValueError, match="^state index 4 out of range$"):
+        lehmann_counterexample()
+
+
 def test_enumerate_instances_takes_the_interaction_suites_default_scope():
     def defaults(fn):
         params = inspect.signature(fn).parameters.values()

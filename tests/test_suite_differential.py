@@ -4,13 +4,14 @@
 ``check_I1_I2`` takes each preimage once per (action, observation).  The
 references here evaluate every instance on its own through the public
 ``check_interaction`` (and so the public ``evolve``) and through a fresh
-``preimage`` per instance.  The exhaustive ``run_lehmann_suite`` shares
-each observation sequence's cores across kappa; its final states are
-checked against the public ``iterated_revise``, and its report against the
-per-kappa path that a swapped-in operator takes.  Broken or unfaithful
-rankings make the violation lists non-empty, so their order is compared
-too, and a partial ranking must fail the sweep and the reference with the
-same error.
+``preimage`` per instance.  The exhaustive ``run_lehmann_suite`` checks each
+law for every kappa at once, one lane of a word per kappa, and shares each
+observation sequence's cores across kappa; its lanes are checked against
+the public ``iterated_revise``, and its whole report against a sweep of the
+laws as stated on state sets, one kappa at a time.  Broken operators and
+unfaithful rankings make the violation lists non-empty, so their order is
+compared too, and a partial ranking must fail the sweep and the reference
+with the same error.
 """
 
 import random
@@ -24,6 +25,9 @@ import bevo.postulates as postulates
 from bevo import Ranking, combined_change, dalal_assignment, preimage, revise, update
 from bevo.kernel import _members
 from bevo.postulates import (
+    Instance,
+    SuiteReport,
+    Violation,
     check_I1_I2,
     check_interaction,
     enumerate_instances,
@@ -33,6 +37,7 @@ from bevo.postulates import (
     state_sets,
     suite_signature,
 )
+from test_suite_golden import _OPERATORS, _believe_last
 
 
 def _flat(n_fluents):
@@ -234,12 +239,17 @@ def _lehmann_assignment(name, fluents):
 
 
 def _check_shared_fins(sig, assign, pairs):
-    """The sweep's shared-core ``fin`` of each kappa against the public
-    operator, on each (kappa, sequence) pair."""
+    """Each kappa's lane of the sweep's shared-core lane words against the
+    public operator, on each (kappa, sequence) pair."""
     pairs = list(pairs)
-    fins = postulates._lehmann_fins(sig, cache(assign), tuple(dict.fromkeys(k for k, _ in pairs)))
+    kappas = tuple(dict.fromkeys(k for k, _ in pairs))
+    lanes = postulates._lehmann_lanes(sig, cache(assign), kappas)
+    n = sig.num_states
+    shift = {kappa: i * n for i, kappa in enumerate(kappas)}
     for kappa, seq in pairs:
-        assert fins[kappa](seq) == evolution.iterated_revise(kappa, seq, sig, assign), (kappa, seq)
+        word = lanes.fin(tuple(map(_bits, seq)))
+        got = _members(word >> shift[kappa] & (1 << n) - 1)
+        assert got == evolution.iterated_revise(kappa, seq, sig, assign), (kappa, seq)
 
 
 @pytest.mark.parametrize("ranking", ["dalal", "flat"])
@@ -283,3 +293,113 @@ def test_lehmann_shared_cores_report_is_the_per_kappa_report(monkeypatch, fluent
     # Both rankings keep these laws; the broken operators of the golden
     # tests are what break them.
     assert shared.passed and shared.instances > 0
+
+
+# ---------------------------------------------------------------------------
+# The Lehmann laws as stated, on state sets, one kappa at a time.
+
+
+def _l2(fin, prefix, alpha, betas):
+    """O.alpha entails alpha."""
+    got = fin(prefix + (alpha,))
+    if not got <= alpha:
+        yield prefix + (alpha,), got, alpha
+
+
+def _l3(fin, prefix, alpha, betas):
+    """If O entails alpha, O entails whatever O.alpha entails."""
+    f_o, f_oa = fin(prefix), fin(prefix + (alpha,))
+    for beta in betas:
+        if f_o <= alpha and f_oa <= beta and not f_o <= beta:
+            yield prefix + (alpha, beta), f_o, beta
+
+
+def _l4(fin, prefix, alpha, betas):
+    """If O entails alpha, O.alpha believes what O does."""
+    lhs, rhs = fin(prefix), fin(prefix + (alpha,))
+    if lhs <= alpha and lhs != rhs:
+        yield prefix + (alpha,), lhs, rhs
+
+
+def _l5(fin, prefix, alpha, betas):
+    """For beta inside alpha, O.alpha.beta believes what O.beta does."""
+    for beta in betas:
+        lhs, rhs = fin(prefix + (alpha, beta)), fin(prefix + (beta,))
+        if lhs != rhs:
+            yield prefix + (alpha, beta), lhs, rhs
+
+
+def _l6(fin, prefix, alpha, betas):
+    """If O.alpha allows beta, O.alpha.beta believes what O.alpha.(alpha & beta) does."""
+    for beta in betas:
+        if fin(prefix + (alpha,)) & beta:
+            lhs, rhs = fin(prefix + (alpha, beta)), fin(prefix + (alpha, alpha & beta))
+            if lhs != rhs:
+                yield prefix + (alpha, beta), lhs, rhs
+
+
+def _l7(fin, prefix, alpha, betas):
+    """O.(not alpha).alpha keeps every state O.alpha keeps."""
+    for complement in betas:
+        lhs, rhs = fin(prefix + (alpha,)), fin(prefix + (complement, alpha))
+        if not lhs <= rhs:
+            yield prefix + (alpha,), lhs, rhs
+
+
+# (name, law, shortest prefix, observations appended, the betas of alpha)
+_LAWS = (
+    ("L2", _l2, 0, 1, lambda alpha, every: ()),
+    ("L3", _l3, 1, 1, lambda alpha, every: every),
+    ("L4*", _l4, 1, 1, lambda alpha, every: ()),
+    ("L5*", _l5, 0, 2, lambda alpha, every: [b for b in every[1:] if b <= alpha]),
+    ("L6*", _l6, 0, 2, lambda alpha, every: every[1:]),
+    ("L7", _l7, 0, 2, lambda alpha, every: (every[-1] - alpha,)),
+)
+
+
+def _lehmann_reference(fluents, assign, max_len, operator):
+    """The exhaustive report law by law, then by kappa, prefix, alpha and beta."""
+    sig = suite_signature(fluents, with_action=False)
+    every = state_sets(sig)
+    count, vios = 0, []
+    for name, law, shortest, appended, betas_of in _LAWS:
+        lengths = range(shortest, max_len - appended + 1)
+        prefixes = [seq for ln in lengths for seq in product(every[1:], repeat=ln)]
+        for kappa in every[1:]:
+            fin = cache(partial(operator, kappa, sig=sig, assign=assign))
+            for prefix in prefixes:
+                for alpha in every[1:]:
+                    betas = betas_of(alpha, every)
+                    count += len(betas) or 1
+                    for obs, lhs, rhs in law(fin, prefix, alpha, betas):
+                        vios.append(Violation(name, Instance(sig, None, kappa, (), obs), lhs, rhs))
+    scope = f"exhaustive fluents={fluents} len<={max_len}"
+    return SuiteReport("lehmann", scope, count, tuple(vios))
+
+
+@pytest.mark.parametrize("ranking", ["dalal", "flat"])
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+@pytest.mark.parametrize("fluents", [1, 2])
+def test_lehmann_sweep_is_the_laws_as_stated(fluents, max_len, ranking):
+    _, assign = _lehmann_assignment(ranking, fluents)
+    want = _lehmann_reference(fluents, assign, max_len, evolution.iterated_revise)
+    assert run_lehmann_suite(fluents, assign, max_len) == want
+
+
+@pytest.mark.parametrize(
+    "op, max_len",
+    [(op, 2) for op in ("oldest_first", "last_only", "two_shot", "believe_last")]
+    + [("believe_last", 3)],
+)
+def test_lehmann_sweep_is_the_laws_as_stated_under_broken_operators(monkeypatch, op, max_len):
+    # Two fluents give 15 lanes of 4 bits, so a lane read at the wrong
+    # width, or violations listed out of kappa order, show here.  At length
+    # 2 the operators break L2 and L7, L3, L4* and L6*, L5* and L7, and L4*
+    # and L6*, in that order, in every lane.
+    operator = _believe_last if op == "believe_last" else _OPERATORS[op]
+    _, assign = _lehmann_assignment("dalal", 2)
+    want = _lehmann_reference(2, assign, max_len, operator)
+    monkeypatch.setattr(postulates, "iterated_revise", operator)
+    rep = run_lehmann_suite(2, assign, max_len)
+    assert len({v.instance.kappa for v in rep.violations}) > 1
+    assert rep == want
