@@ -397,33 +397,27 @@ def final_state_shortcut(
 
 
 def _revision_cores(
-    obs: ObservationTrajectory, sig: Signature, r: ReliabilityFunction
-) -> tuple[int, ...]:
-    """The masks ``iterated_revise`` revises kappa by, none depending on
-    kappa: the observations' meet, or each preferred repair's core in the
-    order ``repairs`` lists them, one when ``r`` is injective."""
-    # The masks _preimage_masks gives on the identity system: each
-    # observation's states, those outside the signature left out.
-    full = universe(sig)
-    masks = {i: _mask(o & full) for i, o in enumerate(obs) if o != full}
+    masks: Sequence[int], sig: Signature, r: ReliabilityFunction
+) -> dict[int, int]:
+    """``_select``'s kept sets, bit i for observation i, each mapped to the
+    core ``iterated_revise`` revises kappa by; ``masks`` are the observations
+    on masks.  None depends on kappa, and a meet that is not empty keeps all."""
     everything = (1 << sig.num_states) - 1
-    core = reduce(and_, masks.values(), everything)
-    if core:
-        return (core,)
-    kept = _select(masks, r(len(obs)), everything)
-    return tuple((_ordered(obs, kept, full) if len(kept) > 1 else kept).values())
+    kept = {i: m for i, m in enumerate(masks) if m != everything}
+    core = reduce(and_, kept.values(), everything)
+    return {(1 << len(masks)) - 1: core} if core else _select(kept, r(len(masks)), everything)
 
 
-def _iterated_final(cores: tuple[int, ...], ranking: Ranking) -> StateSet:
-    """The one state ``ranking`` revises to by each of ``cores``, taken in
-    order so that an unranked state is named as evolution names it."""
+def _iterated_final(cores: Iterable[int], ranking: Ranking) -> int:
+    """The mask of the one state ``ranking`` revises to by each of ``cores``,
+    taken in order so that an unranked state is named as evolution names it."""
     finals = {_revised(core, ranking) for core in cores}
     if len(finals) != 1:
         raise ValueError(
             "iterated revision is ambiguous under this reliability function; "
             "use evolve for the full set of outcomes"
         )
-    return _members(finals.pop())
+    return finals.pop()
 
 
 def iterated_revise(
@@ -454,4 +448,9 @@ def iterated_revise(
         raise ValueError(f"unknown action {NULL_ACTION!r}")
     if assign is None:
         assign = dalal_assignment(sig)
-    return _iterated_final(_revision_cores(obs, sig, r), assign(kappa))
+    # The one encoding: states outside the signature constrain nothing, but
+    # tied repairs sort by the observations as given, as ``repairs`` sorts.
+    full = universe(sig)
+    kept = _revision_cores([_mask(o & full) for o in obs], sig, r)
+    cores = _ordered(obs, kept, full) if len(kept) > 1 else kept
+    return _members(_iterated_final(cores.values(), assign(kappa)))

@@ -279,8 +279,8 @@ def signature_data(sig: Signature) -> dict:
 
 
 class Formula:
-    """Base class for formula AST nodes.  Equality and hashing walk a tree
-    with an explicit stack, so a formula of any height is fine."""
+    """Base class for formula AST nodes.  Equality, hashing and ``repr`` walk
+    a tree with an explicit stack, so a formula of any height is fine."""
 
     __slots__ = ()
 
@@ -303,36 +303,53 @@ class Formula:
     def __hash__(self) -> int:
         return hash(tuple(self._prefix()))
 
+    def __repr__(self) -> str:
+        """The dataclass form, as in ``Not(arg=Atom(name='p'))``."""
+        out: list[str] = []
+        todo: list = [self]  # nodes, and text to write as it is
+        while todo:
+            f = todo.pop()
+            if not isinstance(f, Formula):
+                out.append(f)
+                continue
+            out.append(f"{type(f).__qualname__}(")
+            parts: list = []
+            for name, value in vars(f).items():
+                parts.append(f"{', ' if parts else ''}{name}=")
+                parts.append(value if isinstance(value, Formula) else repr(value))
+            todo += (")", *reversed(parts))  # the operands, last first
+        return "".join(out)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Iff(Formula):
     left: Formula
     right: Formula

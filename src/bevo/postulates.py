@@ -811,21 +811,21 @@ def _betas(law: _Law, alpha: int, pool: Sequence[int], full: int) -> Sequence[in
     return pool
 
 
-def _lehmann_lanes(
-    sig: Signature, assign: RankingAssignment, kappas: _Obs, memo: bool = True
-) -> _Lanes:
-    """Lane words, lane i for ``kappas[i]``.  With ``memo`` and bevo's own
-    ``iterated_revise`` (both names read now; a tracer wraps both alike), a
-    word is built once per tuple of cores, which do not depend on kappa.  Else
-    the operator runs for every kappa: per call, or with ``memo`` once per
-    sequence any lane needs; ``_state_mask`` stops a stray state spilling over."""
+def _lehmann_lanes(sig: Signature, assign: RankingAssignment, kappas: _Obs) -> _Lanes:
+    """Lane words, lane i for ``kappas[i]``.  Under bevo's own ``iterated_revise``
+    (both names read now; a tracer wraps both alike) a word comes from the
+    sequence's cores, which do not depend on kappa.  Else the operator runs
+    for every kappa; ``_state_mask`` stops a stray state spilling over.  Only
+    a sweep, with several lanes, asks again: it caches words by sequence and
+    by cores."""
     n = sig.num_states
     shifts = range(0, n * len(kappas), n)
-    if memo and iterated_revise is evolution.iterated_revise:
+    memo = cache if len(kappas) > 1 else lambda f: f
+    if iterated_revise is evolution.iterated_revise:
         ranked = list(zip(shifts, map(assign, kappas)))
-        word = cache(lambda cores: sum(_mask(_iterated_final(cores, r)) << s for s, r in ranked))
+        word = memo(lambda cores: sum(_iterated_final(cores, r) << s for s, r in ranked))
         def fin(seq: _Seq) -> int:
-            return word(_revision_cores(tuple(map(_members, seq)), sig, recency))
+            return word(tuple(_revision_cores(seq, sig, recency).values()))
     else:
         def fin(seq: _Seq) -> int:
             obs, word = tuple(map(_members, seq)), 0
@@ -834,7 +834,7 @@ def _lehmann_lanes(
             return word
 
     unit = sum(1 << s for s in shifts)
-    return _Lanes(cache(fin) if memo else fin, unit, (unit << n - 1) - unit, unit << n - 1)
+    return _Lanes(memo(fin), unit, (unit << n - 1) - unit, unit << n - 1)
 
 
 def _lane_violations(name: str, sig: Signature, kappas: _Obs, hits: _Hits) -> list[Violation]:
@@ -903,7 +903,7 @@ def run_lehmann_suite(
                 alpha, beta = alpha | beta, alpha & beta or alpha
             kappas, betas = (_members(kappa),), _betas(law, alpha, (beta,), full)
             count += len(betas) or 1
-            hits = law.check(_lehmann_lanes(sig, assign, kappas, False), prefix, alpha, betas)
+            hits = law.check(_lehmann_lanes(sig, assign, kappas), prefix, alpha, betas)
             vios += _lane_violations(law.name, sig, kappas, hits)
     scope = _scope(sig, samples, seed, f"len<={max_len}")
     return SuiteReport("lehmann", scope, count, tuple(vios))
@@ -962,7 +962,7 @@ def lehmann_counterexample() -> CounterexampleReport:
         if got != want:
             raise RuntimeError(f"ranking fails to realize {_members(a)} -> {want}, got {got}")
 
-    lanes = _lehmann_lanes(sig, assign, (_members(kappa),), False)
+    lanes = _lehmann_lanes(sig, assign, (_members(kappa),))
     sequences = {
         "O": (o,), "O,O'": (o, o_prime), "O,a,O'": (o, alpha, o_prime), "O,a": (o, alpha),
         "O,a,g,O'": (o, alpha, gamma, o_prime), "O,a,a&g,O'": (o, alpha, gamma & alpha, o_prime),

@@ -6,7 +6,7 @@ states, and on sampled masks of up to 2^16 states, narrow and wide, sparse
 and dense.  ``evolve`` at 16 fluents must agree with a set-based reference
 written here.  Observation members outside the signature are ignored by
 ``evolve``, ``consistent`` and ``preimage``, as ``iterated_revise`` ignores
-them.
+them; both still sort tied repairs by the observations as given.
 """
 
 import random
@@ -17,12 +17,15 @@ import pytest
 from hypothesis import given, settings
 
 from bevo import (
+    NULL_ACTION,
     EvolutionResult,
+    Ranking,
     WorldView,
     complete_transitions,
     consistent,
     constant,
     evolve,
+    iterated_revise,
     make_signature,
     preimage,
     recency,
@@ -224,3 +227,17 @@ def test_out_of_range_members_are_ignored_by_evolve_and_preimage(ts):
             assert set(zip(map(_clean, got.repaired_views), got.trajectories)) == set(
                 zip(want.repaired_views, want.trajectories)
             )
+
+
+def test_out_of_range_members_order_tied_repairs_alike_in_iterated_revise_and_evolve():
+    # Sorted as given, {-1, 1} comes before the discarded {0, 1, 2, 3}, so
+    # the repair that keeps it is revised first and its unranked state 1 is
+    # the one named; sorted as encoded, {1} would come after it.
+    seq = (frozenset({-1, 1}), frozenset({2}))
+    only_zero = lambda kappa: Ranking((0b0001,))
+    view = WorldView((NULL_ACTION,) * len(seq), seq)
+    identity = complete_transitions(_SIG2, ())
+    with pytest.raises(ValueError, match="^state index 1 out of range$"):
+        iterated_revise(frozenset({0}), seq, _SIG2, only_zero, constant)
+    with pytest.raises(ValueError, match="^state index 1 out of range$"):
+        evolve(frozenset({0}), view, identity, only_zero, constant)

@@ -172,6 +172,37 @@ def test_models_of_deep_formulas():
     assert models(arrows, _SIG3) == frozenset(s for s in range(8) if s & 1 or not s & 2)
 
 
+@given(_formulas)
+def test_formula_repr_evaluates_back_to_the_formula(f):
+    assert eval(repr(f)) == f
+
+
+def test_formula_repr_is_the_dataclass_form():
+    f = And(Atom("p"), Not(Atom("q")))
+    assert repr(f) == "And(left=Atom(name='p'), right=Not(arg=Atom(name='q')))"
+    f = Iff(Implies(Atom("it's"), Or(Atom("p"), Atom("q"))), Atom("r"))
+    assert repr(f) == (
+        "Iff(left=Implies(left=Atom(name=\"it's\"), right=Or(left=Atom(name='p'), "
+        "right=Atom(name='q'))), right=Atom(name='r'))"
+    )
+
+
+def test_repr_of_deep_formulas():
+    # Built directly, as the parser caps formulas at 100 levels.
+    nots, chain = Atom("p"), Atom("p")
+    for _ in range(10000):
+        nots, chain = Not(nots), And(chain, Atom("q"))
+    try:
+        got = repr(nots), repr(chain)
+    except RecursionError:
+        # Fail outside the handler: a traceback through deep frames would
+        # compare their deep formulas frame by frame, for minutes.
+        got = None
+    assert got is not None, "repr recursed"
+    assert got[0] == "Not(arg=" * 10000 + "Atom(name='p')" + ")" * 10000
+    assert got[1].startswith("And(left=" * 10000 + "Atom(name='p'), right=Atom(name='q'))")
+
+
 def test_models_unknown_fluent():
     with pytest.raises(ValueError):
         models(Atom("zzz"), _SIG3)

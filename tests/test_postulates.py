@@ -399,7 +399,10 @@ def test_lehmann_sweep_shares_cores_only_under_bevos_own_operator(monkeypatch):
     # The exhaustive sweep takes its shared-core path while
     # postulates.iterated_revise is evolution.iterated_revise, read at call
     # time, and calls a swapped-in operator once per kappa and sequence.
+    # The sampled stream and the counterexample take the same two routes.
     want = run_lehmann_suite(fluents=1)
+    sampled = run_lehmann_suite(fluents=3, samples=200)
+    example = lehmann_counterexample()
     real = evolution.iterated_revise
     calls = Counter()
 
@@ -411,6 +414,8 @@ def test_lehmann_sweep_shares_cores_only_under_bevos_own_operator(monkeypatch):
     monkeypatch.setattr(evolution, "iterated_revise", counting)
     monkeypatch.setattr(postulates, "iterated_revise", counting)
     assert run_lehmann_suite(fluents=1) == want
+    assert run_lehmann_suite(fluents=3, samples=200) == sampled
+    assert lehmann_counterexample() == example
     assert not calls
 
     monkeypatch.setattr(evolution, "iterated_revise", real)
@@ -420,6 +425,13 @@ def test_lehmann_sweep_shares_cores_only_under_bevos_own_operator(monkeypatch):
     n = len(state_sets(suite_signature(1), include_empty=False))
     assert set(calls.values()) == {1}
     assert len(calls) == n * (n + n**2 + n**3 + 1 + n)
+
+    calls.clear()
+    assert run_lehmann_suite(fluents=3, samples=200) == sampled
+    assert calls
+    calls.clear()
+    assert lehmann_counterexample() == example
+    assert calls
 
 
 @pytest.mark.parametrize("samples", [None, 5])

@@ -6,12 +6,14 @@ references here evaluate every instance on its own through the public
 ``check_interaction`` (and so the public ``evolve``) and through a fresh
 ``preimage`` per instance.  The exhaustive ``run_lehmann_suite`` checks each
 law for every kappa at once, one lane of a word per kappa, and shares each
-observation sequence's cores across kappa; its lanes are checked against
+observation sequence's cores across kappa; its lanes, and the one-lane
+words of the sampled stream and the counterexample, are checked against
 the public ``iterated_revise``, and its whole report against a sweep of the
-laws as stated on state sets, one kappa at a time.  Broken operators and
-unfaithful rankings make the violation lists non-empty, so their order is
-compared too, and a partial ranking must fail the sweep and the reference
-with the same error.
+laws as stated on state sets, one kappa at a time.  The ``dp`` report is
+checked against DP1-DP4 and REC as stated on state sets.  Broken operators
+and unfaithful rankings make the violation lists non-empty, so their order
+is compared too, and a partial ranking must fail the sweep and the
+reference with the same error.
 """
 
 import random
@@ -31,6 +33,7 @@ from bevo.postulates import (
     check_I1_I2,
     check_interaction,
     enumerate_instances,
+    run_dp_suite,
     run_interaction_suite,
     run_lehmann_suite,
     single_action_systems,
@@ -239,17 +242,20 @@ def _lehmann_assignment(name, fluents):
 
 
 def _check_shared_fins(sig, assign, pairs):
-    """Each kappa's lane of the sweep's shared-core lane words against the
-    public operator, on each (kappa, sequence) pair."""
+    """Each kappa's lane of the sweep's shared-core lane words, and the
+    one-lane word of the sampled stream and the counterexample, against the
+    public operator on each (kappa, sequence) pair."""
     pairs = list(pairs)
     kappas = tuple(dict.fromkeys(k for k, _ in pairs))
     lanes = postulates._lehmann_lanes(sig, cache(assign), kappas)
+    alone = {kappa: postulates._lehmann_lanes(sig, cache(assign), (kappa,)) for kappa in kappas}
     n = sig.num_states
     shift = {kappa: i * n for i, kappa in enumerate(kappas)}
     for kappa, seq in pairs:
-        word = lanes.fin(tuple(map(_bits, seq)))
-        got = _members(word >> shift[kappa] & (1 << n) - 1)
-        assert got == evolution.iterated_revise(kappa, seq, sig, assign), (kappa, seq)
+        masks = tuple(map(_bits, seq))
+        want = evolution.iterated_revise(kappa, seq, sig, assign)
+        assert _members(lanes.fin(masks) >> shift[kappa] & (1 << n) - 1) == want, (kappa, seq)
+        assert _members(alone[kappa].fin(masks)) == want, (kappa, seq)
 
 
 @pytest.mark.parametrize("ranking", ["dalal", "flat"])
@@ -265,12 +271,18 @@ def test_lehmann_shared_cores_exhaustive(fluents, ranking):
 
 
 @pytest.mark.parametrize("ranking", ["dalal", "flat"])
-def test_lehmann_shared_cores_sampled_three_fluents(ranking):
-    sig, assign = _lehmann_assignment(ranking, 3)
+@pytest.mark.parametrize("fluents", [3, 4])
+def test_lehmann_shared_cores_sampled(fluents, ranking):
+    sig, assign = _lehmann_assignment(ranking, fluents)
     rng = random.Random(7)
     size = 1 << sig.num_states
+    draw_kappa = partial(rng.randrange, 1, size)
+    if fluents == 4:
+        # 16 states: every mask is wider than one byte.  The sweep's word has
+        # a lane per distinct kappa, so kappa comes from a pool of 40.
+        draw_kappa = partial(rng.choice, [rng.randrange(1, size) for _ in range(40)])
     pairs = [
-        (_members(rng.randrange(1, size)),
+        (_members(draw_kappa()),
          tuple(_members(rng.randrange(size)) for _ in range(rng.randint(1, 3))))
         for _ in range(3000)
     ]
@@ -403,3 +415,54 @@ def test_lehmann_sweep_is_the_laws_as_stated_under_broken_operators(monkeypatch,
     rep = run_lehmann_suite(2, assign, max_len)
     assert len({v.instance.kappa for v in rep.violations}) > 1
     assert rep == want
+
+
+# ---------------------------------------------------------------------------
+# The iterated-revision laws as stated, on state sets.
+
+
+def _dp_reference(fluents, assign, operator):
+    """The exhaustive ``dp`` report by kappa, beta, alpha, then law.
+
+    DP1-DP4 are Darwiche & Pearl (1997) and REC is Nayak, Pagnucco & Peppas
+    (2003), each on kappa revised by beta then alpha (``then``) and kappa
+    revised by alpha alone (``now``).  Entailment is inclusion, and
+    consistency a non-empty meet.
+    """
+    sig = suite_signature(fluents, with_action=False)
+    nonempty = state_sets(sig, include_empty=False)
+    vios = []
+    for kappa, beta, alpha in product(nonempty, repeat=3):
+        then = operator(kappa, (beta, alpha), sig, assign)
+        now = revise(kappa, alpha, assign)
+        # (law, premise, conclusion, lhs, rhs)
+        laws = (
+            # If alpha entails beta, revising by beta first changes nothing.
+            ("DP1", alpha <= beta, then == now, then, now),
+            # If alpha entails not-beta, neither does it.
+            ("DP2", not alpha & beta, then == now, then, now),
+            # If kappa revised by alpha entails beta, so does the two-step result.
+            ("DP3", now <= beta, then <= beta, then, beta),
+            # If kappa revised by alpha is consistent with beta, so is the two-step result.
+            ("DP4", bool(now & beta), bool(then & beta), then, beta),
+            # If alpha is consistent with beta, the two-step result entails beta.
+            ("REC", bool(alpha & beta), then <= beta, then, beta),
+        )
+        for name, premise, conclusion, lhs, rhs in laws:
+            if premise and not conclusion:
+                inst = Instance(sig, None, kappa, (), (beta, alpha))
+                vios.append(Violation(name, inst, lhs, rhs))
+    scope = f"exhaustive fluents={fluents} triples"
+    return SuiteReport("dp", scope, len(nonempty) ** 3, tuple(vios))
+
+
+@pytest.mark.parametrize("op", ["evolution", *_OPERATORS, "believe_last"])
+@pytest.mark.parametrize("ranking", ["dalal", "flat"])
+@pytest.mark.parametrize("fluents", [1, 2])
+def test_dp_suite_is_the_laws_as_stated(monkeypatch, fluents, ranking, op):
+    operators = {"evolution": evolution.iterated_revise, "believe_last": _believe_last}
+    operator = {**operators, **_OPERATORS}[op]
+    _, assign = _lehmann_assignment(ranking, fluents)
+    want = _dp_reference(fluents, assign, operator)
+    monkeypatch.setattr(postulates, "iterated_revise", operator)
+    assert run_dp_suite(fluents, assign) == want
