@@ -363,7 +363,7 @@ def parse_domain(text: str) -> DomainDoc:
     name, lines = _named(text, "domain")
     header: dict[str, tuple[str, ...]] = {"fluents": (), "actions": ()}
     triples: list[tuple[int, str, int]] = []
-    flags = {"deterministic": False, "strict": False}
+    flags = {"deterministic": 0, "strict": 0}  # the line that set each, or 0
     sig: Signature | None = None  # set once the fluents are known
     sources: set[tuple[str, int]] = set()
     duplicate: ParseError | None = None
@@ -394,7 +394,7 @@ def parse_domain(text: str) -> DomainDoc:
                 continue
             if key in flags:
                 cur.expect_end()
-                flags[key] = True
+                flags[key] = lineno
                 continue
             if key != "transition":
                 raise cur.error(f"unknown directive {key!r}")
@@ -439,11 +439,11 @@ def parse_domain(text: str) -> DomainDoc:
                     raise ParseError(
                         f"'strict' demands a transition for {act} from "
                         f"{format_state(sig, s)}",
-                        1,
+                        flags["strict"],
                         1,
                     )
     ts = complete_transitions(sig, triples)
-    return DomainDoc(name, sig, ts, flags["deterministic"], flags["strict"])
+    return DomainDoc(name, sig, ts, bool(flags["deterministic"]), bool(flags["strict"]))
 
 
 def serialize_domain(doc: DomainDoc) -> str:
@@ -527,6 +527,7 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
     steps: list[tuple[str, StateSet, bool]] = []  # (action, obs, obs_is_user)
     reliability: str | None = None
     user_weights: tuple[int, ...] | None = None
+    weights_line = 0
     mode: str | None = None
     seen: set[str] = set()
 
@@ -552,7 +553,7 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
                 reliability = kind
                 cur.expect_end()
             elif kind == "weights":
-                reliability = "weights"
+                reliability, weights_line = "weights", lineno
                 user_weights = cur.items(cur.integer)
                 if not user_weights:
                     raise cur.error("expected at least one weight")
@@ -583,7 +584,7 @@ def parse_scenario(text: str, dom: DomainDoc) -> ScenarioDoc:
         if len(user_weights) != n_user:
             raise ParseError(
                 f"{len(user_weights)} weights for {n_user} observation steps",
-                1,
+                weights_line,
                 1,
             )
         expanded = []

@@ -552,25 +552,51 @@ def run_i1i2_suite(
 
 
 # ---------------------------------------------------------------------------
+# Lane words: lane i, ``num_states`` bits wide, holds a state mask for the
+# i-th kappa.  A law yields hits (postulate, broken lanes by their top bit,
+# observation masks, lhs and rhs words) for ``_lane_violations`` to decode.
+
+_Obs = tuple[StateSet, ...]
+_Seq = tuple[int, ...]
+_Hits = Iterator[tuple[str, int, _Seq, int, int]]
+
+
+class _Lanes(NamedTuple):
+    """The constants that split words into lanes, and ``fin`` as lane words."""
+
+    unit: int  # each lane's lowest bit: a mask times ``unit`` is in every lane
+    low: int  # each lane's bits below its top one
+    high: int  # each lane's top bit
+    fin: Optional[Callable[[_Seq], int]] = None
+
+    def nonempty(self, x: int) -> int:
+        """The top bit of each lane of ``x`` with a state: a low bit carries into it."""
+        return ((x & self.low) + self.low | x) & self.high
+
+
+def _lanes(n: int, count: int, fin: Optional[Callable[[_Seq], int]] = None) -> _Lanes:
+    """``count`` lanes of ``n`` bits each."""
+    unit = sum(1 << s for s in range(0, n * count, n))
+    return _Lanes(unit, (unit << n - 1) - unit, unit << n - 1, fin)
+
+
+def _lane_violations(sig: Signature, kappas: _Obs, hits: _Hits) -> list[Violation]:
+    """A violation of its postulate per broken lane of each hit, lane i for
+    ``kappas[i]``: kappa by kappa, each in the order of the hits."""
+    n, full = sig.num_states, (1 << sig.num_states) - 1
+    found = []
+    for name, bad, obs, lhs, rhs in hits:
+        while bad:
+            s = (bad & -bad).bit_length() - n  # the lane's shift
+            bad &= bad - 1
+            inst = Instance(sig, None, kappas[s // n], (), tuple(map(_members, obs)))
+            found.append((s, name, inst, _members(lhs >> s & full), _members(rhs >> s & full)))
+    found.sort(key=itemgetter(0))
+    return [Violation(*vio) for _, *vio in found]
+
+
+# ---------------------------------------------------------------------------
 # Set-level revision laws.
-
-
-def _agm_iv_v_hold(ra: int, amask: int, row: list[int]) -> bool:
-    """Whether AGM-iv and AGM-v hold at alpha for every beta, given AGM-i.
-
-    With K*alpha inside alpha, K*alpha & beta is K*alpha & gamma for
-    gamma = alpha & beta, so both laws see beta only through gamma.  They
-    hold there exactly when that meet is empty or equals K*gamma.  The step
-    gamma = (gamma - 1) & alpha visits each non-zero submask of alpha once
-    (Knuth, TAOCP 4A, 7.1.3); gamma = 0 breaks neither law.
-    """
-    gamma = amask
-    while gamma:
-        x = ra & gamma
-        if x and x != row[gamma]:
-            return False
-        gamma = (gamma - 1) & amask
-    return True
 
 
 def check_agm(assign: RankingAssignment, sig: Signature) -> SuiteReport:
@@ -580,43 +606,36 @@ def check_agm(assign: RankingAssignment, sig: Signature) -> SuiteReport:
     observation just intersects; (iii) only the empty observation gives an
     empty result; (iv) and (v) relate revision by an intersection to
     intersecting the revision, quantifying over a second observation.
+    Each K*alpha, for every non-empty kappa, is one lane word.  A beta with
+    K*alpha & beta = K*(alpha & beta) in every lane breaks neither (iv) nor (v).
     """
-    size = 1 << sig.num_states
+    n, size = sig.num_states, 1 << sig.num_states
     sets = state_sets(sig)
-    comp = [(size - 1) ^ m for m in range(size)]
-    vios: list[Violation] = []
-    pairs = 0
+    ln = _lanes(n, size - 1)
+    # Revised kappa-major, as the assignment is asked; a stray state raises.
+    words = [0] * size
+    for s, kappa in zip(range(0, n * size, n), sets[1:]):
+        for amask, alpha in enumerate(sets):
+            words[amask] |= _state_mask(revise(kappa, alpha, assign), n) << s
+    kword = sum(kmask << (kmask - 1) * n for kmask in range(1, size))  # each kappa in its lane
+    spread = [m * ln.unit for m in range(size)]  # each mask in every lane
+    nonempty = ln.nonempty
 
-    def record(pid: str, kmask: int, amask: int, bmask: Optional[int], lhs: int, rhs: int) -> None:
-        obs = (sets[amask],) if bmask is None else (sets[amask], sets[bmask])
-        inst = Instance(sig, None, sets[kmask], (), obs)
-        vios.append(Violation(pid, inst, sets[lhs], sets[rhs]))
-
-    for kmask in range(1, size):
-        kappa = sets[kmask]
-        row = [0] * size
-        for amask in range(size):
-            row[amask] = _mask(revise(kappa, sets[amask], assign))
-        for amask in range(size):
-            pairs += 1
-            ra = row[amask]
-            if ra & comp[amask]:
-                record("AGM-i", kmask, amask, None, ra, amask)
-            met = kmask & amask
-            if met and ra != met:
-                record("AGM-ii", kmask, amask, None, ra, met)
-            if (ra == 0) != (amask == 0):
-                record("AGM-iii", kmask, amask, None, ra, amask)
-            if not ra & comp[amask] and _agm_iv_v_hold(ra, amask, row):
-                continue
+    def hits() -> _Hits:
+        for amask, ra in enumerate(words):
+            alpha = spread[amask]
+            met = kword & alpha
+            yield "AGM-i", nonempty(ra & ~alpha), (amask,), ra, alpha
+            yield "AGM-ii", nonempty(met) & nonempty(ra ^ met), (amask,), ra, met
+            yield "AGM-iii", ln.high & ~nonempty(ra) if amask else nonempty(ra), (amask,), ra, alpha
             for bmask in range(1, size):
-                x = ra & bmask
-                y = row[amask & bmask]
-                if x & comp[y]:
-                    record("AGM-iv", kmask, amask, bmask, x, y)
-                if x and y & comp[x]:
-                    record("AGM-v", kmask, amask, bmask, y, x)
-    return SuiteReport("agm", _scope(sig, None, 0, "pairs"), pairs, tuple(vios))
+                x, y = ra & spread[bmask], words[amask & bmask]
+                if x != y:
+                    yield "AGM-iv", nonempty(x & ~y), (amask, bmask), x, y
+                    yield "AGM-v", nonempty(x) & nonempty(y & ~x), (amask, bmask), y, x
+
+    vios = _lane_violations(sig, sets[1:], hits())
+    return SuiteReport("agm", _scope(sig, None, 0, "pairs"), (size - 1) * size, tuple(vios))
 
 
 def run_agm_suite(
@@ -703,39 +722,18 @@ def naive_two_shot_dp_example() -> Violation:
 # Observation-sequence postulates (Lehmann 1995).
 #
 # ``fin(seq)`` is the final state of observation-only evolution under
-# recency from a fixed kappa, read as a lane word: lane i, ``num_states``
-# bits wide, holds its mask for the i-th kappa, so one check covers every
-# kappa of a sweep.  Each law takes the lanes, one (prefix, alpha) and the
-# beta masks it quantifies over, and yields (broken lanes by their top bit,
-# observation masks, lhs, rhs words).  Sequence components are non-empty,
-# except for the complements inside L7.  With a ``suffix`` O', the starred
-# laws become the unstarred L4, L5 and L6, which evolution does not satisfy.
-
-_Obs = tuple[StateSet, ...]
-_Seq = tuple[int, ...]
-_Hits = Iterator[tuple[int, _Seq, int, int]]
+# recency, as a lane word.  Each law takes its name, the lanes, one (prefix,
+# alpha) and the betas it quantifies over; only L7's complements may be empty.
+# A ``suffix`` O' turns starred laws into L4, L5 and L6, which evolution breaks.
 
 
-class _Lanes(NamedTuple):
-    """``fin`` as lane words, and the constants that split them into lanes."""
-
-    fin: Callable[[_Seq], int]
-    unit: int  # each lane's lowest bit: a mask times ``unit`` is in every lane
-    low: int  # each lane's bits below its top one
-    high: int  # each lane's top bit
-
-    def nonempty(self, x: int) -> int:
-        """The top bit of each lane of ``x`` with a state: a low bit carries into it."""
-        return ((x & self.low) + self.low | x) & self.high
-
-
-def _l2(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
+def _l2(name: str, ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
     """The final observation always holds afterwards."""
     got, rhs = ln.fin(prefix + (alpha,)), alpha * ln.unit
-    yield ln.nonempty(got & ~rhs), prefix + (alpha,), got, rhs
+    yield name, ln.nonempty(got & ~rhs), prefix + (alpha,), got, rhs
 
 
-def _l3(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
+def _l3(name: str, ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
     """Observing an already believed alpha adds no new belief beta."""
     f_o = ln.fin(prefix)
     held = ln.high & ~ln.nonempty(f_o & ~(alpha * ln.unit))
@@ -745,25 +743,25 @@ def _l3(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
     for beta in betas if held else ():
         rhs = beta * ln.unit
         bad = held & ln.nonempty(f_o & ~rhs) & ~ln.nonempty(f_oa & ~rhs)
-        yield bad, prefix + (alpha, beta), f_o, rhs
+        yield name, bad, prefix + (alpha, beta), f_o, rhs
 
 
-def _l4(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) -> _Hits:
+def _l4(name: str, ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) -> _Hits:
     """Appending an observation that is already believed is a no-op."""
     held = ln.high & ~ln.nonempty(ln.fin(prefix) & ~(alpha * ln.unit))
     if held:
         lhs, rhs = ln.fin(prefix + suffix), ln.fin(prefix + (alpha,) + suffix)
-        yield held & ln.nonempty(lhs ^ rhs), prefix + (alpha,) + suffix, lhs, rhs
+        yield name, held & ln.nonempty(lhs ^ rhs), prefix + (alpha,) + suffix, lhs, rhs
 
 
-def _l5(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) -> _Hits:
+def _l5(name: str, ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) -> _Hits:
     """A weaker observation right before a stronger one is superfluous."""
     for beta in betas:
         lhs, rhs = ln.fin(prefix + (alpha, beta) + suffix), ln.fin(prefix + (beta,) + suffix)
-        yield ln.nonempty(lhs ^ rhs), prefix + (alpha, beta) + suffix, lhs, rhs
+        yield name, ln.nonempty(lhs ^ rhs), prefix + (alpha, beta) + suffix, lhs, rhs
 
 
-def _l6(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) -> _Hits:
+def _l6(name: str, ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) -> _Hits:
     """Refining by a live beta equals refining by its meet with alpha."""
     live = ln.fin(prefix + (alpha,))
     for beta in betas:
@@ -771,15 +769,15 @@ def _l6(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq, suffix: _Seq = ()) ->
         if held:
             lhs = ln.fin(prefix + (alpha, beta) + suffix)
             rhs = ln.fin(prefix + (alpha, alpha & beta) + suffix)
-            yield held & ln.nonempty(lhs ^ rhs), prefix + (alpha, beta) + suffix, lhs, rhs
+            yield name, held & ln.nonempty(lhs ^ rhs), prefix + (alpha, beta) + suffix, lhs, rhs
 
 
-def _l7(ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
+def _l7(name: str, ln: _Lanes, prefix: _Seq, alpha: int, betas: _Seq) -> _Hits:
     """Observing alpha's complement just before alpha loses no state alpha alone keeps."""
     lhs = ln.fin(prefix + (alpha,))
     for complement in betas:
         rhs = ln.fin(prefix + (complement, alpha))
-        yield ln.nonempty(lhs & ~rhs), prefix + (alpha,), lhs, rhs
+        yield name, ln.nonempty(lhs & ~rhs), prefix + (alpha,), lhs, rhs
 
 
 class _Law(NamedTuple):
@@ -833,22 +831,7 @@ def _lehmann_lanes(sig: Signature, assign: RankingAssignment, kappas: _Obs) -> _
                 word |= _state_mask(iterated_revise(kappa, obs, sig=sig, assign=assign), n) << s
             return word
 
-    unit = sum(1 << s for s in shifts)
-    return _Lanes(memo(fin), unit, (unit << n - 1) - unit, unit << n - 1)
-
-
-def _lane_violations(name: str, sig: Signature, kappas: _Obs, hits: _Hits) -> list[Violation]:
-    """A violation of ``name`` per broken lane of ``hits`` (i for ``kappas[i]``), stably by lane."""
-    n, full = sig.num_states, (1 << sig.num_states) - 1
-    found = []
-    for bad, obs, lhs, rhs in hits:
-        while bad:
-            s = (bad & -bad).bit_length() - n  # the lane's shift
-            bad &= bad - 1
-            found.append((s, Instance(sig, None, kappas[s // n], (), tuple(map(_members, obs))),
-                          _members(lhs >> s & full), _members(rhs >> s & full)))
-    found.sort(key=itemgetter(0))
-    return [Violation(name, *vio) for _, *vio in found]
+    return _lanes(n, len(kappas), memo(fin))
 
 
 def run_lehmann_suite(
@@ -884,8 +867,8 @@ def run_lehmann_suite(
             pool = range(full + 1) if law.betas == "every" else nonempty
             alphas = [(alpha, _betas(law, alpha, pool, full)) for alpha in nonempty]
             count += len(kappas) * len(prefixes) * sum(len(betas) or 1 for _, betas in alphas)
-            checks = (law.check(lanes, prefix, *alpha) for prefix in prefixes for alpha in alphas)
-            vios += _lane_violations(law.name, sig, kappas, chain.from_iterable(checks))
+            checks = (law.check(law.name, lanes, p, *alpha) for p in prefixes for alpha in alphas)
+            vios += _lane_violations(sig, kappas, chain.from_iterable(checks))
     else:
         rng = random.Random(seed)
         draw = partial(rng.randrange, 1, full + 1)
@@ -903,8 +886,8 @@ def run_lehmann_suite(
                 alpha, beta = alpha | beta, alpha & beta or alpha
             kappas, betas = (_members(kappa),), _betas(law, alpha, (beta,), full)
             count += len(betas) or 1
-            hits = law.check(_lehmann_lanes(sig, assign, kappas), prefix, alpha, betas)
-            vios += _lane_violations(law.name, sig, kappas, hits)
+            hits = law.check(law.name, _lehmann_lanes(sig, assign, kappas), prefix, alpha, betas)
+            vios += _lane_violations(sig, kappas, hits)
     scope = _scope(sig, samples, seed, f"len<={max_len}")
     return SuiteReport("lehmann", scope, count, tuple(vios))
 
@@ -976,7 +959,7 @@ def lehmann_counterexample() -> CounterexampleReport:
     for name, law, suffix in verdicts:
         pool = (gamma,) if law.name == "L6*" else (beta,)
         betas = _betas(law, alpha, pool, (1 << sig.num_states) - 1)
-        broken = any(bad for bad, *_ in law.check(lanes, (o,), alpha, betas, **suffix))
+        broken = any(bad for _, bad, *_ in law.check(name, lanes, (o,), alpha, betas, **suffix))
         (failed if broken else held).append(name)
     return CounterexampleReport(sig, values, tuple(failed), tuple(held))
 

@@ -1,12 +1,14 @@
-"""``check_agm``'s submask walk against the per-beta loop it replaces.
+"""``check_agm``'s lane sweep against a per-kappa, per-beta reference.
 
-Where K*alpha lies inside alpha, ``check_agm`` tests AGM-iv and AGM-v once
-per submask of alpha and runs the per-beta loop only where one of them
-fails.  The reference is that loop on every pair, as ``check_agm`` ran it
-before the walk.  A ranking assignment can break AGM-ii but never AGM-i,
-AGM-iv or AGM-v, so broken operators drive the fallback: an assignment
-whose ranking turns with every call, and revisions patched into
-``check_agm`` that break AGM-i, AGM-iv or AGM-v alone.
+``check_agm`` tests each law once per alpha, or per (alpha, beta), for
+every kappa at once, on lane words.  The reference states the five laws
+again, one kappa and one beta at a time on plain state masks, and shares
+no law code with ``check_agm``: it builds its own rows, scope string and
+violations, in the same kappa, alpha, law, beta order.  A ranking
+assignment can break AGM-ii but never AGM-i, AGM-iv or AGM-v, so broken
+operators drive the comparison too: an assignment whose ranking turns with
+every call, and revisions patched into ``check_agm`` that break AGM-i,
+AGM-iv or AGM-v alone.
 """
 
 from itertools import count
@@ -20,7 +22,6 @@ from bevo.postulates import (
     Instance,
     SuiteReport,
     Violation,
-    _scope,
     check_agm,
     state_sets,
     suite_signature,
@@ -61,7 +62,8 @@ def _check_agm_reference(assign, sig, revise=revise):
                     record("AGM-iv", kmask, amask, bmask, x, y)
                 if x and y & comp[x]:
                     record("AGM-v", kmask, amask, bmask, y, x)
-    return SuiteReport("agm", _scope(sig, None, 0, "pairs"), pairs, tuple(vios))
+    scope = f"exhaustive fluents={len(sig.fluents)} pairs"
+    return SuiteReport("agm", scope, pairs, tuple(vios))
 
 
 def _flat(sig):
@@ -98,8 +100,8 @@ def _kappa_on_empty(kappa, alpha, assign):
 
 
 def _blind_to_state_0(kappa, alpha, assign):
-    """Answers {0} with nothing: of each alpha holding state 0, only the last
-    submask the walk visits breaks a law."""
+    """Answers {0} with nothing: AGM-iii fails there, and AGM-iv wherever
+    K*alpha holds state 0 and alpha's meet with beta is {0}."""
     return frozenset() if alpha == {0} else revise(kappa, alpha, assign)
 
 
@@ -142,7 +144,7 @@ def _compare(fluents, name, monkeypatch):
 def test_small_scopes(fluents, name, monkeypatch):
     kinds = _compare(fluents, name, monkeypatch)
     if fluents == 2 and name in ("turning", *_REVISIONS):
-        # Each broken operator reaches the per-beta fallback.
+        # Each broken operator breaks a law that quantifies over beta.
         assert kinds & {"AGM-iv", "AGM-v"}
     assert ("AGM-i" in kinds) == (name == "kappa_on_empty")
 

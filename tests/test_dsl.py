@@ -340,6 +340,7 @@ def test_parse_domain_strict_demands_totality():
         parse_domain("domain d\nfluents p\nactions a\n"
                      "transition a: {} -> {p}\nstrict\n")
     assert "strict" in e.value.message
+    assert (e.value.line, e.value.col) == (5, 1)  # the 'strict' line
     full = (
         "domain d\nfluents p\nactions a\n"
         "transition a: {} -> {p}\ntransition a: {p} -> {p}\nstrict\n"
@@ -442,6 +443,7 @@ def test_parse_scenario_weight_count_mismatch(dom):
             _scenario("obs formula p\nreliability weights 1 2\n"), dom
         )
     assert "2 weights for 1 observation steps" in e.value.message
+    assert (e.value.line, e.value.col) == (4, 1)  # the 'reliability' line
 
 
 def test_parse_scenario_overlong_weight_is_located(dom):

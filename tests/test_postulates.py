@@ -448,6 +448,21 @@ def test_lehmann_refuses_a_final_state_outside_the_signature(monkeypatch, sample
         lehmann_counterexample()
 
 
+def test_agm_refuses_a_revision_outside_the_signature(monkeypatch):
+    # check_agm packs K*alpha for each kappa into num_states bits of one
+    # word per alpha; a state index past them would land in the next
+    # kappa's bits.
+    def outside(kappa, alpha, assign):
+        return frozenset(alpha) | {2}
+
+    monkeypatch.setattr(postulates, "revise", outside)
+    sig = suite_signature(1, with_action=False)
+    with pytest.raises(ValueError, match="^state index 2 out of range$"):
+        check_agm(dalal_assignment(sig), sig)
+    with pytest.raises(ValueError, match="^state index 2 out of range$"):
+        run_agm_suite(fluents=1)
+
+
 def test_enumerate_instances_takes_the_interaction_suites_default_scope():
     def defaults(fn):
         params = inspect.signature(fn).parameters.values()
