@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import chain, product
-from operator import itemgetter
+from functools import cache, lru_cache, partial, reduce
+from itertools import chain, product, takewhile, zip_longest
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .kernel import (
@@ -42,7 +42,7 @@ from .revision import (
     dalal_assignment,
     revise,
 )
-from . import evolution
+from . import evolution, revision
 from .evolution import _iterated_final, _plan, _revision_cores, _runs, evolve, iterated_revise
 from .evolution import padded_view, preimage, recency
 
@@ -488,6 +488,81 @@ def naive_interaction_p5_example() -> tuple[Instance, RankingAssignment, SuiteRe
 
 
 # ---------------------------------------------------------------------------
+# Lane words: lane i, ``num_states`` bits wide, holds a state mask for the
+# i-th kappa.  A law yields hits (postulate, broken lanes by their top bit,
+# observation masks, lhs and rhs words) for ``_lane_violations`` to decode.
+
+_Obs = tuple[StateSet, ...]
+_Seq = tuple[int, ...]
+_Hits = Iterable[tuple[str, int, _Seq, int, int]]
+
+
+class _Lanes(NamedTuple):
+    """The constants that split words into lanes, and ``fin`` as lane words."""
+
+    unit: int  # each lane's lowest bit: a mask times ``unit`` is in every lane
+    low: int  # each lane's bits below its top one
+    high: int  # each lane's top bit
+    width: int  # each lane's bits: ``num_states``
+    fin: Optional[Callable[[_Seq], int]] = None
+
+    def nonempty(self, x: int) -> int:
+        """The top bit of each lane of ``x`` with a state: a low bit carries into it."""
+        return ((x & self.low) + self.low | x) & self.high
+
+    def least(self, strata: Iterable[int], x: int) -> int:
+        """Per lane, the states of ``x`` in the first stratum that meets it."""
+        found = 0
+        for stratum in strata:
+            met = self.nonempty(stratum & x)
+            found |= stratum & x
+            x &= ~((met << 1) - (met >> self.width - 1))  # each met lane whole
+        return found
+
+
+def _lanes(n: int, count: int, fin: Optional[Callable[[_Seq], int]] = None) -> _Lanes:
+    """``count`` lanes of ``n`` bits each."""
+    unit = sum(1 << s for s in range(0, n * count, n))
+    return _Lanes(unit, (unit << n - 1) - unit, unit << n - 1, n, fin)
+
+
+def _ranked_lanes(sig: Signature, rankings: Sequence[Ranking]) -> tuple[_Lanes, list[int], list[int]]:
+    """The lanes of ``rankings``, a word per stratum index r, whose lane i holds
+    stratum r of ``rankings[i]`` cut to the signature so as not to spill, and
+    by alpha's mask the K*alpha word: in each lane, alpha's least part."""
+    n, full = sig.num_states, (1 << sig.num_states) - 1
+    columns = zip_longest(*(ranking.strata for ranking in rankings), fillvalue=0)
+    strata = [sum((m & full) << i * n for i, m in enumerate(column)) for column in columns]
+    ln = _lanes(n, len(rankings))
+    return ln, strata, [ln.least(strata, m * ln.unit) for m in range(1 << n)]
+
+
+def _lane_route(sig: Signature, assign: RankingAssignment) -> Optional[tuple]:
+    """``_ranked_lanes`` of every non-empty kappa; None at the first ranking
+    that grades other states than the signature's."""
+    full = (1 << sig.num_states) - 1
+    rankings = list(takewhile(lambda r: r._graded == full, map(assign, state_sets(sig, False))))
+    return _ranked_lanes(sig, rankings) if len(rankings) == full else None
+
+
+def _lane_violations(
+    sig: Signature, kappas: _Obs, hits: _Hits, ts: Optional[TransitionSystem] = None, acts: tuple = ()
+) -> list[Violation]:
+    """A violation of its postulate per broken lane of each hit, lane i for
+    ``kappas[i]`` (on ``ts`` after ``acts``): kappa by kappa, each in the order of the hits."""
+    n, full = sig.num_states, (1 << sig.num_states) - 1
+    found = []
+    for name, bad, obs, lhs, rhs in hits:
+        while bad:
+            s = (bad & -bad).bit_length() - n  # the lane's shift
+            bad &= bad - 1
+            inst = Instance(sig, ts, kappas[s // n], acts, tuple(map(_members, obs)))
+            found.append((s, name, inst, _members(lhs >> s & full), _members(rhs >> s & full)))
+    found.sort(key=itemgetter(0))
+    return [Violation(*vio) for _, *vio in found]
+
+
+# ---------------------------------------------------------------------------
 # Characterization of one-step combined change.
 
 
@@ -498,7 +573,8 @@ def check_I1_I2(
 
     For every (belief state, action, observation): when the observation is
     reachable the operator must equal revise-by-preimage then update, and
-    otherwise it must equal plain update.  That side is computed on masks.
+    otherwise it must equal plain update.  That side is computed on masks;
+    ``op`` is called once per instance, even when it is bevo's own.
     """
     sig = ts.signature
     sets = state_sets(sig)
@@ -525,6 +601,27 @@ def check_I1_I2(
     return SuiteReport("i1i2", "one system", count, tuple(vios))
 
 
+def _i1i2_hits(ln: _Lanes, strata: Sequence[int], words: Sequence[int], succ: Sequence[int]) -> _Hits:
+    """``check_I1_I2`` of bevo's own ``combined_change`` for every kappa at once.
+    For a reachable alpha it keeps alpha's least part under the strata's images,
+    and I1 wants the image of ``words[pre]``, K*pre for alpha's preimage pre.
+    It takes an unreachable alpha to kappa's image, as I2 wants."""
+    def image(x: int) -> int:  # in each lane, the successors of x's states
+        return reduce(or_, ((x >> s & ln.unit) << t for s, t in enumerate(succ)), 0)
+
+    shifted, reach = [image(stratum) for stratum in strata], _mask(succ)
+    moved = image(sum(k << (k - 1) * ln.width for k in range(1, 1 << ln.width)))
+    hits = []
+    for amask in range(1 << ln.width):
+        pid, got, want = "I2", moved, moved
+        if reach & amask:
+            pre = sum(1 << s for s, t in enumerate(succ) if amask >> t & 1)
+            pid, got = "I1", ln.least(shifted, amask * ln.unit)
+            want = image(words[pre])
+        hits.append((pid, ln.nonempty(got ^ want), (amask,), got, want))
+    return hits
+
+
 def run_i1i2_suite(
     fluents: Optional[int] = None,
     assign: RankingAssignment | None = None,
@@ -535,6 +632,8 @@ def run_i1i2_suite(
 
     The operator under test is ``combined_change`` built from the same
     ranking assignment, over every exhaustive system (or a seeded sample).
+    Under bevo's own operator (both names read now, as a tracer wraps both
+    alike) and ``_lane_route``, ``_i1i2_hits`` checks every kappa at once.
     """
     sig, assign, samples = _suite_scope("i1i2", fluents, samples, assign)
     if samples is None:
@@ -542,57 +641,23 @@ def run_i1i2_suite(
     else:
         rng = random.Random(seed)
         systems = (_random_system(rng, sig) for _ in range(samples))
+    scope = _scope(sig, samples, seed, "systems=all")
+    ranked = _lane_route(sig, assign) if combined_change is revision.combined_change else None
+    if ranked is not None:
+        kappas = state_sets(sig, include_empty=False)
+        # One system's blocks are kept, so noop's, the same in every system, comes once.
+        hits = lru_cache(len(sig.actions))(partial(_i1i2_hits, *ranked))
+        blocks = list(product(systems, sig.actions))
+        found: list[Violation] = []
+        for ts, a in blocks:
+            found += _lane_violations(sig, kappas, hits(ts.successor_map(a)), ts, (a,))
+        return SuiteReport("i1i2", scope, len(blocks) * len(kappas) << sig.num_states, tuple(found))
     reports = [
         check_I1_I2(partial(combined_change, ts=ts, assign=assign), assign, ts)
         for ts in systems
     ]
     vios = tuple(v for r in reports for v in r.violations)
-    scope = _scope(sig, samples, seed, "systems=all")
     return SuiteReport("i1i2", scope, sum(r.instances for r in reports), vios)
-
-
-# ---------------------------------------------------------------------------
-# Lane words: lane i, ``num_states`` bits wide, holds a state mask for the
-# i-th kappa.  A law yields hits (postulate, broken lanes by their top bit,
-# observation masks, lhs and rhs words) for ``_lane_violations`` to decode.
-
-_Obs = tuple[StateSet, ...]
-_Seq = tuple[int, ...]
-_Hits = Iterator[tuple[str, int, _Seq, int, int]]
-
-
-class _Lanes(NamedTuple):
-    """The constants that split words into lanes, and ``fin`` as lane words."""
-
-    unit: int  # each lane's lowest bit: a mask times ``unit`` is in every lane
-    low: int  # each lane's bits below its top one
-    high: int  # each lane's top bit
-    fin: Optional[Callable[[_Seq], int]] = None
-
-    def nonempty(self, x: int) -> int:
-        """The top bit of each lane of ``x`` with a state: a low bit carries into it."""
-        return ((x & self.low) + self.low | x) & self.high
-
-
-def _lanes(n: int, count: int, fin: Optional[Callable[[_Seq], int]] = None) -> _Lanes:
-    """``count`` lanes of ``n`` bits each."""
-    unit = sum(1 << s for s in range(0, n * count, n))
-    return _Lanes(unit, (unit << n - 1) - unit, unit << n - 1, fin)
-
-
-def _lane_violations(sig: Signature, kappas: _Obs, hits: _Hits) -> list[Violation]:
-    """A violation of its postulate per broken lane of each hit, lane i for
-    ``kappas[i]``: kappa by kappa, each in the order of the hits."""
-    n, full = sig.num_states, (1 << sig.num_states) - 1
-    found = []
-    for name, bad, obs, lhs, rhs in hits:
-        while bad:
-            s = (bad & -bad).bit_length() - n  # the lane's shift
-            bad &= bad - 1
-            inst = Instance(sig, None, kappas[s // n], (), tuple(map(_members, obs)))
-            found.append((s, name, inst, _members(lhs >> s & full), _members(rhs >> s & full)))
-    found.sort(key=itemgetter(0))
-    return [Violation(*vio) for _, *vio in found]
 
 
 # ---------------------------------------------------------------------------
@@ -606,17 +671,24 @@ def check_agm(assign: RankingAssignment, sig: Signature) -> SuiteReport:
     observation just intersects; (iii) only the empty observation gives an
     empty result; (iv) and (v) relate revision by an intersection to
     intersecting the revision, quantifying over a second observation.
-    Each K*alpha, for every non-empty kappa, is one lane word.  A beta with
-    K*alpha & beta = K*(alpha & beta) in every lane breaks neither (iv) nor (v).
+    Each K*alpha, for every non-empty kappa, is one lane word, built from
+    one ``revise`` call per pair.
     """
     n, size = sig.num_states, 1 << sig.num_states
     sets = state_sets(sig)
-    ln = _lanes(n, size - 1)
     # Revised kappa-major, as the assignment is asked; a stray state raises.
     words = [0] * size
     for s, kappa in zip(range(0, n * size, n), sets[1:]):
         for amask, alpha in enumerate(sets):
             words[amask] |= _state_mask(revise(kappa, alpha, assign), n) << s
+    return _agm_report(sig, words)
+
+
+def _agm_report(sig: Signature, words: Sequence[int]) -> SuiteReport:
+    """The five laws on the K*alpha words, by alpha.  A beta with K*alpha &
+    beta = K*(alpha & beta) in every lane breaks neither (iv) nor (v)."""
+    n, size = sig.num_states, 1 << sig.num_states
+    ln = _lanes(n, size - 1)
     kword = sum(kmask << (kmask - 1) * n for kmask in range(1, size))  # each kappa in its lane
     spread = [m * ln.unit for m in range(size)]  # each mask in every lane
     nonempty = ln.nonempty
@@ -631,18 +703,24 @@ def check_agm(assign: RankingAssignment, sig: Signature) -> SuiteReport:
             for bmask in range(1, size):
                 x, y = ra & spread[bmask], words[amask & bmask]
                 if x != y:
-                    yield "AGM-iv", nonempty(x & ~y), (amask, bmask), x, y
-                    yield "AGM-v", nonempty(x) & nonempty(y & ~x), (amask, bmask), y, x
+                    if bad := nonempty(x & ~y):
+                        yield "AGM-iv", bad, (amask, bmask), x, y
+                    if bad := nonempty(x) & nonempty(y & ~x):
+                        yield "AGM-v", bad, (amask, bmask), y, x
 
-    vios = _lane_violations(sig, sets[1:], hits())
+    vios = _lane_violations(sig, state_sets(sig, include_empty=False), hits())
     return SuiteReport("agm", _scope(sig, None, 0, "pairs"), (size - 1) * size, tuple(vios))
 
 
 def run_agm_suite(
     fluents: Optional[int] = None, assign: RankingAssignment | None = None
 ) -> SuiteReport:
+    """``check_agm`` over a scope.  Under bevo's own ``revise`` (both names
+    read now, as a tracer wraps both alike) and ``_lane_route``, each K*alpha
+    word is alpha's least part for every kappa at once."""
     sig, assign, _ = _suite_scope("agm", fluents, None, assign)
-    return check_agm(assign, sig)
+    ranked = _lane_route(sig, assign) if revise is revision.revise else None
+    return check_agm(assign, sig) if ranked is None else _agm_report(sig, ranked[2])
 
 
 # ---------------------------------------------------------------------------

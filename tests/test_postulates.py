@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bevo.evolution as evolution
+import bevo.revision as revision
 import bevo.postulates as postulates
 from bevo import (
     Ranking,
@@ -432,6 +433,63 @@ def test_lehmann_sweep_shares_cores_only_under_bevos_own_operator(monkeypatch):
     calls.clear()
     assert lehmann_counterexample() == example
     assert calls
+
+
+@pytest.mark.parametrize(
+    "name, run, fluents",
+    [("revise", run_agm_suite, 2), ("combined_change", run_i1i2_suite, 1)],
+)
+def test_agm_and_i1i2_take_lane_words_only_under_bevos_own_operator(monkeypatch, name, run, fluents):
+    # run_agm_suite and run_i1i2_suite rank every kappa once into lane words
+    # while postulates' operator is revision's, read at call time, and call
+    # a swapped-in operator once per (kappa, alpha), or once per instance.
+    want = run(fluents)
+    real = getattr(revision, name)
+    calls = Counter()
+
+    def counting(kappa, *args, **kwargs):
+        calls[kappa, *args, *kwargs.values()] += 1
+        return real(kappa, *args, **kwargs)
+
+    # One wrapper under both names, as a tracer installs it.
+    monkeypatch.setattr(revision, name, counting)
+    monkeypatch.setattr(postulates, name, counting)
+    assert run(fluents) == want
+    assert not calls
+
+    monkeypatch.setattr(revision, name, real)
+    assert run(fluents) == want
+    assert set(calls.values()) == {1}
+    size = len(state_sets(suite_signature(fluents)))
+    assert len(calls) == ((size - 1) * size if run is run_agm_suite else want.instances)
+
+
+@pytest.mark.parametrize("fluents", [1, 2])
+@pytest.mark.parametrize(
+    "strata, agm, i1i2",
+    [
+        # Partial: revision by an ungraded state raises, as it always has.
+        ((0b0001, 0b0100), "state index 1 out of range", "state index 1 out of range"),
+        ((0b10,), "state index 0 out of range", "state index 0 out of range"),
+        # Grading a state outside the signature: the per-call route revises
+        # around it and combined change fails on its missing successor.
+        ((0b1, 0b11110), None, "tuple index out of range"),
+    ],
+)
+def test_rankings_off_the_signature_keep_the_per_call_route(strata, agm, i1i2, fluents):
+    sig = suite_signature(fluents, with_action=False)
+
+    def assign(kappa):
+        return Ranking(strata)
+
+    assert postulates._lane_route(sig, assign) is None
+    if agm is None:
+        assert run_agm_suite(fluents, assign) == check_agm(assign, sig)
+    else:
+        with pytest.raises(ValueError, match=f"^{agm}$"):
+            run_agm_suite(fluents, assign)
+    with pytest.raises((ValueError, IndexError), match=f"^{i1i2}$"):
+        run_i1i2_suite(fluents, assign)
 
 
 @pytest.mark.parametrize("samples", [None, 5])
