@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, lru_cache, partial
 from itertools import chain, product, takewhile, zip_longest
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .kernel import (
@@ -44,7 +44,7 @@ from .revision import (
 )
 from . import evolution, revision
 from .evolution import _iterated_final, _plan, _revision_cores, _runs, evolve, iterated_revise
-from .evolution import padded_view, preimage, recency
+from .evolution import padded_view, recency
 
 _FLUENT_POOL = ("p", "q", "r", "s", "u")
 _SUITE_ACTION = "a"
@@ -206,35 +206,29 @@ def _require_length(name: str, value: int) -> None:
 
 def _instance_masks(
     sig: Signature, trajectory_len: int, samples: Optional[int], seed: int
-) -> Iterator[tuple[TransitionSystem, int, tuple, Sequence]]:
-    """(system, kappa mask, action trajectory, observation masks) per group
-    of instances, which differ only in the observation, over a resolved scope.
+) -> Iterator[tuple[TransitionSystem, Sequence[int], Sequence[tuple], Sequence[int]]]:
+    """(system, kappa masks, action trajectories, observation masks) per
+    block of instances, their product in that order, over a resolved scope.
 
-    Exhaustive mode (``samples=None``) covers every deterministic
-    single-action system, every non-empty belief state, every trajectory
-    over both actions up to the length bound, and every observation, so a
-    group's masks are all of them.  Sampled mode draws each from the stream
-    seeded by ``seed``, in that order, so a group has one observation.
+    Exhaustive mode (``samples=None``) gives a block per deterministic
+    single-action system: every non-empty belief state, every trajectory
+    over both actions up to the length bound, and every observation.
+    Sampled mode draws each from the stream seeded by ``seed``, in that
+    order, so a block is one instance.
     """
     size = 1 << sig.num_states
     if samples is None:
         lengths = range(1, trajectory_len + 1)
         trajectories = [trj for ln in lengths for trj in product(sig.actions, repeat=ln)]
         for ts in single_action_systems(sig):
-            for kmask in range(1, size):
-                for acts in trajectories:
-                    yield ts, kmask, acts, range(size)
+            yield ts, range(1, size), trajectories, range(size)
     else:
         rng = random.Random(seed)
         for _ in range(samples):
             ts = _random_system(rng, sig)
             kmask, steps = rng.randrange(1, size), rng.randint(1, trajectory_len)
             acts = tuple(rng.choice(sig.actions) for _ in range(steps))
-            yield ts, kmask, acts, (rng.randrange(size),)
-
-
-def _instance(ts: TransitionSystem, kmask: int, acts: tuple[str, ...], amask: int) -> Instance:
-    return Instance(ts.signature, ts, _members(kmask), acts, (_members(amask),))
+            yield ts, (kmask,), (acts,), (rng.randrange(size),)
 
 
 def enumerate_instances(
@@ -244,13 +238,12 @@ def enumerate_instances(
     seed: int = 0,
 ) -> Iterator[Instance]:
     """The instances (system, belief state, action trajectory, observation)
-    that ``run_interaction_suite`` checks over the same scope, as
-    ``_instance_masks`` gives them, one per observation of each group."""
+    that ``run_interaction_suite`` checks over the same scope, in its order."""
     _require_length("trajectory_len", trajectory_len)
     sig, _, samples = _suite_scope("interaction", fluents, samples, None)
-    for ts, kmask, acts, amasks in _instance_masks(sig, trajectory_len, samples, seed):
-        for amask in amasks:
-            yield _instance(ts, kmask, acts, amask)
+    for ts, *block in _instance_masks(sig, trajectory_len, samples, seed):
+        for kmask, acts, amask in product(*block):
+            yield Instance(ts.signature, ts, _members(kmask), acts, (_members(amask),))
 
 
 class _Suite(NamedTuple):
@@ -289,6 +282,117 @@ def _scope(sig: Signature, samples: Optional[int], seed: int, exhaustive: str) -
 
 
 # ---------------------------------------------------------------------------
+# Lane words: lane i, ``num_states`` bits wide, holds a state mask for the
+# i-th kappa.  A law yields hits (postulate, broken lanes by their top bit,
+# observation masks, lhs and rhs words) for ``_lane_violations`` to decode.
+
+_Obs = tuple[StateSet, ...]
+_Seq = tuple[int, ...]
+_Hits = Iterable[tuple[str, int, _Seq, int, int]]
+
+
+class _Lanes(NamedTuple):
+    """The constants that split words into lanes, and ``fin`` as lane words."""
+
+    unit: int  # each lane's lowest bit: a mask times ``unit`` is in every lane
+    low: int  # each lane's bits below its top one
+    high: int  # each lane's top bit
+    width: int  # each lane's bits: ``num_states``
+    fin: Optional[Callable[[_Seq], int]] = None
+
+    def nonempty(self, x: int) -> int:
+        """The top bit of each lane of ``x`` with a state: a low bit carries into it."""
+        return ((x & self.low) + self.low | x) & self.high
+
+    def image(self, x: int, succ: Sequence[int]) -> int:
+        """``kernel._image`` in each lane: one shift per state, not per lane."""
+        image = 0
+        for s, t in enumerate(succ):
+            image |= (x >> s & self.unit) << t
+        return image
+
+    def least(self, strata: Iterable[int], x: int) -> int:
+        """Per lane, the states of ``x`` in the first stratum that meets it."""
+        found = 0
+        for stratum in strata:
+            met = self.nonempty(stratum & x)
+            found |= stratum & x
+            x &= ~((met << 1) - (met >> self.width - 1))  # each met lane whole
+        return found
+
+
+def _lanes(n: int, count: int, fin: Optional[Callable[[_Seq], int]] = None) -> _Lanes:
+    """``count`` lanes of ``n`` bits each."""
+    unit = sum(1 << s for s in range(0, n * count, n))
+    return _Lanes(unit, (unit << n - 1) - unit, unit << n - 1, n, fin)
+
+
+def _kappa_word(n: int, kmasks: Iterable[int]) -> int:
+    """The lane word whose lane i holds the i-th of ``kmasks``."""
+    return sum(k << i * n for i, k in enumerate(kmasks))
+
+
+def _revised_words(cores: Iterable[int], rankings: Sequence[Ranking], n: int) -> dict[int, int]:
+    """Each core's word, lane i ``_revised`` by ``rankings[i]``, ranking by
+    ranking, so that a partial ranking raises where kappa by kappa would."""
+    words = dict.fromkeys(cores, 0)
+    for s, ranking in zip(range(0, n * len(rankings), n), rankings):
+        for core in words:
+            words[core] |= _revised(core, ranking) << s
+    return words
+
+
+def _operator_words(sig: Signature, result: Callable[[StateSet, StateSet], StateSet]) -> list[int]:
+    """By alpha, the word of ``result(kappa, alpha)`` for every kappa, asked kappa by
+    kappa; a result not among ``sig``'s state sets is checked by ``_state_mask``."""
+    n, sets = sig.num_states, state_sets(sig)
+    codes = dict(zip(sets, range(len(sets))))
+    words = [0] * len(sets)
+    for s, kappa in zip(range(0, n * len(sets), n), sets[1:]):
+        for amask, alpha in enumerate(sets):
+            got = result(kappa, alpha)
+            known = isinstance(got, frozenset) and got in codes
+            words[amask] |= (codes[got] if known else _state_mask(got, n)) << s
+    return words
+
+
+def _ranked_lanes(sig: Signature, rankings: Sequence[Ranking]) -> tuple[_Lanes, list[int], list[int]]:
+    """The lanes of ``rankings``, a word per stratum index r, whose lane i holds
+    stratum r of ``rankings[i]`` cut to the signature so as not to spill, and
+    by alpha's mask the K*alpha word: in each lane, alpha's least part."""
+    n, full = sig.num_states, (1 << sig.num_states) - 1
+    columns = zip_longest(*(ranking.strata for ranking in rankings), fillvalue=0)
+    strata = [sum((m & full) << i * n for i, m in enumerate(column)) for column in columns]
+    ln = _lanes(n, len(rankings))
+    return ln, strata, [ln.least(strata, m * ln.unit) for m in range(1 << n)]
+
+
+def _lane_route(sig: Signature, assign: RankingAssignment) -> Optional[tuple]:
+    """``_ranked_lanes`` of every non-empty kappa; None at the first ranking
+    that grades other states than the signature's."""
+    full = (1 << sig.num_states) - 1
+    rankings = list(takewhile(lambda r: r._graded == full, map(assign, state_sets(sig, False))))
+    return _ranked_lanes(sig, rankings) if len(rankings) == full else None
+
+
+def _lane_violations(
+    sig: Signature, kappas: _Obs, hits: _Hits, ts: Optional[TransitionSystem] = None, acts: tuple = ()
+) -> list[Violation]:
+    """A violation of its postulate per broken lane of each hit, lane i for
+    ``kappas[i]`` (on ``ts`` after ``acts``): kappa by kappa, each in the order of the hits."""
+    n, full = sig.num_states, (1 << sig.num_states) - 1
+    found = []
+    for name, bad, obs, lhs, rhs in hits:
+        while bad:
+            s = (bad & -bad).bit_length() - n  # the lane's shift
+            bad &= bad - 1
+            inst = Instance(sig, ts, kappas[s // n], acts, tuple(map(_members, obs)))
+            found.append((s, name, inst, _members(lhs >> s & full), _members(rhs >> s & full)))
+    found.sort(key=itemgetter(0))
+    return [Violation(*vio) for _, *vio in found]
+
+
+# ---------------------------------------------------------------------------
 # Interaction of update and revision.
 
 
@@ -304,34 +408,6 @@ def evolution_final_state(
     return evolve(kappa, view, ts, assign).trajectories[0][-1]
 
 
-def _interaction_violations(
-    alpha: int, final: int, reach: int, base: int
-) -> tuple[bool, tuple[tuple[str, int, int], ...]]:
-    """Whether the padded view was consistent, and the P1-P5 violations of
-    its induced change as (postulate, lhs, rhs).  All are state masks;
-    ``reach`` is every state the actions can lead to, ``base`` kappa's update.
-    """
-    vios = []
-    consistent = bool(reach & alpha)
-    if consistent:
-        if final & ~alpha:
-            vios.append(("P1", final, alpha))
-    elif final != base:
-        vios.append(("P2", final, base))
-    met = base & alpha
-    if met & ~final:
-        vios.append(("P3", met, final))
-    if met and final & ~met:
-        vios.append(("P4", final, met))
-    if final & ~reach:
-        vios.append(("P5", final, reach))
-    return consistent, tuple(vios)
-
-
-def _decoded(found: Iterable[tuple[str, int, int]], inst: Instance) -> list[Violation]:
-    return [Violation(pid, inst, _members(lhs), _members(rhs)) for pid, lhs, rhs in found]
-
-
 def _padded_core(acts: tuple[str, ...], amask: int, ts: TransitionSystem) -> int:
     """The mask ``evolution_final_state`` revises kappa by: the one core of
     the padded view's plan under recency."""
@@ -345,6 +421,21 @@ def _composite(acts: tuple[str, ...], ts: TransitionSystem) -> tuple[int, ...]:
     return tuple(run)
 
 
+def _interaction_hits(ln: _Lanes, alpha: int, final: int, reach: int, base: int) -> _Hits:
+    """P1-P5 of the induced change ``final`` by observation mask ``alpha``:
+    ``reach`` holds every state the actions lead to, ``base`` kappa's update.
+    P1 applies where the view was consistent (reach meets alpha), P2 if not."""
+    a, obs, nonempty = alpha * ln.unit, (alpha,), ln.nonempty
+    met = base & a
+    if reach & a:
+        yield "P1", nonempty(final & ~a), obs, final, a
+    else:
+        yield "P2", nonempty(final ^ base), obs, final, base
+    yield "P3", nonempty(met & ~final), obs, met, final
+    yield "P4", nonempty(met) & nonempty(final & ~met), obs, final, met
+    yield "P5", nonempty(final & ~reach), obs, final, reach
+
+
 def check_interaction(
     inst: Instance,
     assign: RankingAssignment | None = None,
@@ -354,7 +445,8 @@ def check_interaction(
 
     The induced change is the final state of evolution over the padded view
     unless ``operator`` supplies a different way to compute it.  The note
-    records whether the padded view was consistent or needed repair.
+    records whether the padded view was consistent or needed repair.  The
+    laws are the suite's on one lane: a state outside the signature raises.
     """
     ts = inst.ts
     if ts is None:
@@ -366,9 +458,28 @@ def check_interaction(
         final = evolution_final_state(inst.kappa, inst.actions, alpha, ts, assign)
     else:
         final = operator(inst.kappa, inst.actions, alpha)
-    consistent, found = _interaction_violations(*map(_mask, (alpha, final, reach, base)))
-    note = "consistent" if consistent else "repaired"
-    return SuiteReport("interaction", "instance", 1, tuple(_decoded(found, inst)), (note,))
+    n = inst.signature.num_states
+    masks = _mask(alpha), _state_mask(final, n), _mask(reach), _mask(base)
+    hits = _interaction_hits(_lanes(n, 1), *masks)
+    vios = tuple(Violation(pid, inst, *map(_members, sides)) for pid, bad, _, *sides in hits if bad)
+    note = "consistent" if reach & alpha else "repaired"
+    return SuiteReport("interaction", "instance", 1, vios, (note,))
+
+
+def _induced_words(
+    ln: _Lanes, ts: TransitionSystem, rankings: Sequence[Ranking], trajectories: Iterable[tuple],
+    amasks: Sequence[int], words: Optional[Sequence[int]] = None,
+) -> dict[tuple[int, ...], tuple[list[tuple[str, ...]], list[int]]]:
+    """By composite successor function, its trajectories (``a``, ``a,noop``
+    and ``noop,a`` share one) and, by alpha, the change evolution over their
+    padded view induces for every lane's ranking: the image of the core's
+    word, from ``words`` (the K*alpha words) or else ``_revised_words``."""
+    groups: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
+    for acts in trajectories:
+        groups.setdefault(_composite(acts, ts), []).append(acts)
+    cores = {succ: [_padded_core(trjs[0], m, ts) for m in amasks] for succ, trjs in groups.items()}
+    words = words or _revised_words(chain.from_iterable(cores.values()), rankings, ln.width)
+    return {s: (trjs, [ln.image(words[c], s) for c in cores[s]]) for s, trjs in groups.items()}
 
 
 def run_interaction_suite(
@@ -384,65 +495,42 @@ def run_interaction_suite(
     view needed repair are evaluated too, but their outcome is informational
     and summarised in the notes.
 
-    Each instance is what ``check_interaction`` evaluates, on state masks,
-    a group of instances at a time.  A trajectory enters only through its
-    composite successor function, so trajectories that share one (``a``,
-    ``a,noop`` and ``noop,a``) share, per system, the cores of the padded
-    views' plans, one per observation of the group, and the memoised image
-    of each mask, and per kappa the group's outcome.  An outcome takes the
-    ranking once per kappa and the reachable states and kappa's update once
-    per group; an instance in it is one revision, one image and the P1-P5
-    tests.  Only a violation is decoded, once per trajectory of the class,
-    with that trajectory.
+    Each instance is what ``check_interaction`` evaluates, on the words of
+    ``_induced_words`` for a block of ``_instance_masks``: a system's every
+    kappa at once (with ``_lane_route`` if it applies), or one sampled lane.
+    Each composite's hits, decoded per trajectory, are merged back in order.
     """
     sig, assign, samples = _suite_scope("interaction", fluents, samples, assign)
     _require_length("trajectory_len", trajectory_len)
-    full = (1 << sig.num_states) - 1
-    consistent_n = repaired_n = repaired_bad = 0
+    n, full = sig.num_states, (1 << sig.num_states) - 1
+    ranked = _lane_route(sig, assign) if samples is None else None
+    words = ranked[2] if ranked else None
+    ln = _lanes(n, full if samples is None else 1)
+    count = repaired = failures = 0
     vios: list[Violation] = []
-    ts = ranked = None
-    check = cache(_interaction_violations)
-    for group_ts, kmask, acts, amasks in _instance_masks(sig, trajectory_len, samples, seed):
-        if group_ts is not ts:
-            ts, ranked, plans = group_ts, None, {}
-            composite = cache(partial(_composite, ts=ts))
-        if kmask != ranked:
-            ranked, outcomes = kmask, {}
-            ranking = assign(_members(kmask))
-        # A group's plan, and per kappa its outcome, see the trajectory only
-        # through its composite, so both are keyed by that and the group's
-        # observations.
-        key = composite(acts), amasks
-        outcome = outcomes.get(key)
-        if outcome is None:
-            plan = plans.get(key)
-            if plan is None:
-                cores = [_padded_core(acts, amask, ts) for amask in amasks]
-                plan = plans[key] = cores, cache(partial(_image, succ=key[0]))
-            cores, image = plan
-            reach, base = image(full), image(kmask)
-            repaired = failures = 0
-            found_at = []
-            for amask, core in zip(amasks, cores):
-                consistent, found = check(amask, image(_revised(core, ranking)), reach, base)
-                if not consistent:
-                    repaired += 1
-                    failures += len(found)
-                elif found:
-                    found_at.append((amask, found))
-            outcome = outcomes[key] = repaired, failures, found_at
-        repaired, failures, found_at = outcome
-        consistent_n += len(amasks) - repaired
-        repaired_n += repaired
-        repaired_bad += failures
-        for amask, found in found_at:
-            vios.extend(_decoded(found, _instance(ts, kmask, acts, amask)))
+    for ts, kmasks, trajectories, amasks in _instance_masks(sig, trajectory_len, samples, seed):
+        kappas = tuple(map(_members, kmasks))
+        count += len(kappas) * len(trajectories) * len(amasks)
+        induced = _induced_words(ln, ts, list(map(assign, kappas)), trajectories, amasks, words)
+        block: list[Violation] = []
+        for succ, (group, finals) in induced.items():
+            reach, base = _image(full, succ), ln.image(_kappa_word(n, kmasks), succ)
+            found: list = []
+            for amask, final in zip(amasks, finals):
+                hits = list(_interaction_hits(ln, amask, final, reach * ln.unit, base))
+                if reach & amask:
+                    found += hits
+                else:
+                    repaired += len(kappas) * len(group)
+                    failures += sum(bad.bit_count() for _, bad, *_ in hits) * len(group)
+            for acts in group if any(bad for _, bad, *_ in found) else ():
+                block += _lane_violations(sig, kappas, found, ts, acts)
+        if block:
+            lane, rank = kappas.index, trajectories.index
+            vios += sorted(block, key=lambda v: (lane(v.instance.kappa), rank(v.instance.actions)))
     scope = _scope(sig, samples, seed, f"trajectories<={trajectory_len}")
-    notes = (
-        f"{repaired_n} instances needed repair; informational failures "
-        f"after repair: {repaired_bad}",
-    )
-    return SuiteReport("interaction", scope, consistent_n, tuple(vios), notes)
+    note = f"{repaired} instances needed repair; informational failures after repair: {failures}"
+    return SuiteReport("interaction", scope, count - repaired, tuple(vios), (note,))
 
 
 def _prefer_state_assignment(sig: Signature, preferred: int) -> RankingAssignment:
@@ -488,81 +576,6 @@ def naive_interaction_p5_example() -> tuple[Instance, RankingAssignment, SuiteRe
 
 
 # ---------------------------------------------------------------------------
-# Lane words: lane i, ``num_states`` bits wide, holds a state mask for the
-# i-th kappa.  A law yields hits (postulate, broken lanes by their top bit,
-# observation masks, lhs and rhs words) for ``_lane_violations`` to decode.
-
-_Obs = tuple[StateSet, ...]
-_Seq = tuple[int, ...]
-_Hits = Iterable[tuple[str, int, _Seq, int, int]]
-
-
-class _Lanes(NamedTuple):
-    """The constants that split words into lanes, and ``fin`` as lane words."""
-
-    unit: int  # each lane's lowest bit: a mask times ``unit`` is in every lane
-    low: int  # each lane's bits below its top one
-    high: int  # each lane's top bit
-    width: int  # each lane's bits: ``num_states``
-    fin: Optional[Callable[[_Seq], int]] = None
-
-    def nonempty(self, x: int) -> int:
-        """The top bit of each lane of ``x`` with a state: a low bit carries into it."""
-        return ((x & self.low) + self.low | x) & self.high
-
-    def least(self, strata: Iterable[int], x: int) -> int:
-        """Per lane, the states of ``x`` in the first stratum that meets it."""
-        found = 0
-        for stratum in strata:
-            met = self.nonempty(stratum & x)
-            found |= stratum & x
-            x &= ~((met << 1) - (met >> self.width - 1))  # each met lane whole
-        return found
-
-
-def _lanes(n: int, count: int, fin: Optional[Callable[[_Seq], int]] = None) -> _Lanes:
-    """``count`` lanes of ``n`` bits each."""
-    unit = sum(1 << s for s in range(0, n * count, n))
-    return _Lanes(unit, (unit << n - 1) - unit, unit << n - 1, n, fin)
-
-
-def _ranked_lanes(sig: Signature, rankings: Sequence[Ranking]) -> tuple[_Lanes, list[int], list[int]]:
-    """The lanes of ``rankings``, a word per stratum index r, whose lane i holds
-    stratum r of ``rankings[i]`` cut to the signature so as not to spill, and
-    by alpha's mask the K*alpha word: in each lane, alpha's least part."""
-    n, full = sig.num_states, (1 << sig.num_states) - 1
-    columns = zip_longest(*(ranking.strata for ranking in rankings), fillvalue=0)
-    strata = [sum((m & full) << i * n for i, m in enumerate(column)) for column in columns]
-    ln = _lanes(n, len(rankings))
-    return ln, strata, [ln.least(strata, m * ln.unit) for m in range(1 << n)]
-
-
-def _lane_route(sig: Signature, assign: RankingAssignment) -> Optional[tuple]:
-    """``_ranked_lanes`` of every non-empty kappa; None at the first ranking
-    that grades other states than the signature's."""
-    full = (1 << sig.num_states) - 1
-    rankings = list(takewhile(lambda r: r._graded == full, map(assign, state_sets(sig, False))))
-    return _ranked_lanes(sig, rankings) if len(rankings) == full else None
-
-
-def _lane_violations(
-    sig: Signature, kappas: _Obs, hits: _Hits, ts: Optional[TransitionSystem] = None, acts: tuple = ()
-) -> list[Violation]:
-    """A violation of its postulate per broken lane of each hit, lane i for
-    ``kappas[i]`` (on ``ts`` after ``acts``): kappa by kappa, each in the order of the hits."""
-    n, full = sig.num_states, (1 << sig.num_states) - 1
-    found = []
-    for name, bad, obs, lhs, rhs in hits:
-        while bad:
-            s = (bad & -bad).bit_length() - n  # the lane's shift
-            bad &= bad - 1
-            inst = Instance(sig, ts, kappas[s // n], acts, tuple(map(_members, obs)))
-            found.append((s, name, inst, _members(lhs >> s & full), _members(rhs >> s & full)))
-    found.sort(key=itemgetter(0))
-    return [Violation(*vio) for _, *vio in found]
-
-
-# ---------------------------------------------------------------------------
 # Characterization of one-step combined change.
 
 
@@ -573,53 +586,46 @@ def check_I1_I2(
 
     For every (belief state, action, observation): when the observation is
     reachable the operator must equal revise-by-preimage then update, and
-    otherwise it must equal plain update.  That side is computed on masks;
-    ``op`` is called once per instance, even when it is bevo's own.
+    otherwise it must equal plain update.  ``op`` is called once per
+    instance, even when it is bevo's own, and ``_i1i2_hits`` tests its
+    results as ``_operator_words``, so a state outside the signature raises.
     """
     sig = ts.signature
-    sets = state_sets(sig)
+    n, kappas = sig.num_states, state_sets(sig, include_empty=False)
+    ln, ranked = _lanes(n, len(kappas)), _lane_route(sig, assign)
     vios: list[Violation] = []
-    count = 0
     for action in sig.actions:
         succ = ts.successor_map(action)
-        images = [_image(m, succ) for m in range(len(sets))]
-        reach = images[-1]
-        # The preimage of each reachable observation; None marks I2.
-        pres = [_mask(preimage(a, (action,), ts)) if reach & m else None for m, a in enumerate(sets)]
-        for kmask, kappa in enumerate(sets[1:], 1):
-            ranking = assign(kappa)
-            for amask, pre in enumerate(pres):
-                count += 1
-                got = op(kappa, action, sets[amask])
-                if pre is not None:
-                    pid, want = "I1", sets[images[_revised(pre, ranking)]]
-                else:
-                    pid, want = "I2", sets[images[kmask]]
-                if got != want:
-                    inst = Instance(sig, ts, kappa, (action,), (sets[amask],))
-                    vios.append(Violation(pid, inst, got, want))
-    return SuiteReport("i1i2", "one system", count, tuple(vios))
+        got = _operator_words(sig, lambda kappa, alpha: op(kappa, action, alpha))
+        rankings = None if ranked else list(map(assign, kappas))
+        revised = ranked[2] if ranked else _revised_words(filter(None, _preimages(succ)), rankings, n)
+        vios += _lane_violations(sig, kappas, _i1i2_hits(ln, got, revised, succ), ts, (action,))
+    return SuiteReport("i1i2", "one system", len(sig.actions) * len(kappas) << n, tuple(vios))
 
 
-def _i1i2_hits(ln: _Lanes, strata: Sequence[int], words: Sequence[int], succ: Sequence[int]) -> _Hits:
-    """``check_I1_I2`` of bevo's own ``combined_change`` for every kappa at once.
-    For a reachable alpha it keeps alpha's least part under the strata's images,
-    and I1 wants the image of ``words[pre]``, K*pre for alpha's preimage pre.
-    It takes an unreachable alpha to kappa's image, as I2 wants."""
-    def image(x: int) -> int:  # in each lane, the successors of x's states
-        return reduce(or_, ((x >> s & ln.unit) << t for s, t in enumerate(succ)), 0)
+def _preimages(succ: Sequence[int]) -> list[int]:
+    """By observation mask, the mask of the states ``succ`` takes into it."""
+    return [sum(1 << s for s, t in enumerate(succ) if m >> t & 1) for m in range(1 << len(succ))]
 
-    shifted, reach = [image(stratum) for stratum in strata], _mask(succ)
-    moved = image(sum(k << (k - 1) * ln.width for k in range(1, 1 << ln.width)))
-    hits = []
-    for amask in range(1 << ln.width):
-        pid, got, want = "I2", moved, moved
-        if reach & amask:
-            pre = sum(1 << s for s, t in enumerate(succ) if amask >> t & 1)
-            pid, got = "I1", ln.least(shifted, amask * ln.unit)
-            want = image(words[pre])
-        hits.append((pid, ln.nonempty(got ^ want), (amask,), got, want))
-    return hits
+
+def _i1i2_hits(ln: _Lanes, got: list, revised: dict | list, succ: Sequence[int]) -> _Hits:
+    """I1 and I2 on the operator's words ``got`` by alpha: where alpha's
+    preimage pre is not empty, I1 wants the image of K*pre, ``revised[pre]``;
+    where it is, I2 wants kappa's image."""
+    moved = ln.image(_kappa_word(ln.width, range(1, 1 << ln.width)), succ)
+    for amask, (word, pre) in enumerate(zip(got, _preimages(succ))):
+        pid, want = ("I1", ln.image(revised[pre], succ)) if pre else ("I2", moved)
+        yield pid, ln.nonempty(word ^ want), (amask,), word, want
+
+
+def _combined_hits(ln: _Lanes, strata: Sequence[int], words: Sequence[int], succ: Sequence[int]) -> list:
+    """``_i1i2_hits`` of bevo's ``combined_change`` on ``_ranked_lanes``: alpha's
+    least part under the strata's images, which grade every state, or if no
+    state reaches alpha (least part empty in every lane), kappa's image."""
+    shifted = [ln.image(stratum, succ) for stratum in strata]
+    moved = ln.image(_kappa_word(ln.width, range(1, 1 << ln.width)), succ)
+    got = [ln.least(shifted, m * ln.unit) or moved for m in range(1 << ln.width)]
+    return list(_i1i2_hits(ln, got, words, succ))
 
 
 def run_i1i2_suite(
@@ -633,7 +639,7 @@ def run_i1i2_suite(
     The operator under test is ``combined_change`` built from the same
     ranking assignment, over every exhaustive system (or a seeded sample).
     Under bevo's own operator (both names read now, as a tracer wraps both
-    alike) and ``_lane_route``, ``_i1i2_hits`` checks every kappa at once.
+    alike) and ``_lane_route``, ``_combined_hits`` checks every kappa at once.
     """
     sig, assign, samples = _suite_scope("i1i2", fluents, samples, assign)
     if samples is None:
@@ -646,7 +652,7 @@ def run_i1i2_suite(
     if ranked is not None:
         kappas = state_sets(sig, include_empty=False)
         # One system's blocks are kept, so noop's, the same in every system, comes once.
-        hits = lru_cache(len(sig.actions))(partial(_i1i2_hits, *ranked))
+        hits = lru_cache(len(sig.actions))(partial(_combined_hits, *ranked))
         blocks = list(product(systems, sig.actions))
         found: list[Violation] = []
         for ts, a in blocks:
@@ -671,17 +677,10 @@ def check_agm(assign: RankingAssignment, sig: Signature) -> SuiteReport:
     observation just intersects; (iii) only the empty observation gives an
     empty result; (iv) and (v) relate revision by an intersection to
     intersecting the revision, quantifying over a second observation.
-    Each K*alpha, for every non-empty kappa, is one lane word, built from
-    one ``revise`` call per pair.
+    Each K*alpha, for every non-empty kappa, is one lane word, built by
+    ``_operator_words`` from one ``revise`` call per pair.
     """
-    n, size = sig.num_states, 1 << sig.num_states
-    sets = state_sets(sig)
-    # Revised kappa-major, as the assignment is asked; a stray state raises.
-    words = [0] * size
-    for s, kappa in zip(range(0, n * size, n), sets[1:]):
-        for amask, alpha in enumerate(sets):
-            words[amask] |= _state_mask(revise(kappa, alpha, assign), n) << s
-    return _agm_report(sig, words)
+    return _agm_report(sig, _operator_words(sig, lambda kappa, alpha: revise(kappa, alpha, assign)))
 
 
 def _agm_report(sig: Signature, words: Sequence[int]) -> SuiteReport:
@@ -689,7 +688,7 @@ def _agm_report(sig: Signature, words: Sequence[int]) -> SuiteReport:
     beta = K*(alpha & beta) in every lane breaks neither (iv) nor (v)."""
     n, size = sig.num_states, 1 << sig.num_states
     ln = _lanes(n, size - 1)
-    kword = sum(kmask << (kmask - 1) * n for kmask in range(1, size))  # each kappa in its lane
+    kword = _kappa_word(n, range(1, size))
     spread = [m * ln.unit for m in range(size)]  # each mask in every lane
     nonempty = ln.nonempty
 

@@ -133,7 +133,7 @@ def shift_ranking(ranking: Ranking, action: str, ts: TransitionSystem) -> Rankin
     reached = 0
     strata = []
     for stratum in ranking.strata:
-        image = _image(stratum, succ)
+        image = _image(stratum & ((1 << len(succ)) - 1), succ)  # none past the signature
         strata.append(image & ~reached)
         reached |= image
     return Ranking(tuple(strata))
@@ -163,7 +163,7 @@ def combined_change(
         # The shifted ranking's first stratum to meet alpha is the first
         # image that does, as no earlier image holds a state of alpha.
         for stratum in assign(kappa).strata:
-            hit = _image(stratum, succ) & observed
+            hit = _image(stratum & ((1 << len(succ)) - 1), succ) & observed  # as in shift_ranking
             if hit:
                 return _members(hit)
         return frozenset()

@@ -19,7 +19,7 @@ import pytest
 from bevo import Ranking, combined_change, dalal_assignment, preimage, revise, update
 from bevo.kernel import _members
 from bevo.postulates import (
-    _i1i2_hits,
+    _combined_hits,
     _prefer_state_assignment,
     _random_system,
     _ranked_lanes,
@@ -93,7 +93,7 @@ def _check_i1i2_sides(ts, assign):
     kappas, ranked = _ranked(sig, assign)
     revised = cache(revise)
     for action in sig.actions:
-        hits = _i1i2_hits(*ranked, ts.successor_map(action))
+        hits = _combined_hits(*ranked, ts.successor_map(action))
         assert [obs for _, _, obs, _, _ in hits] == [(m,) for m in range(len(hits))]
         reach = update(frozenset(range(sig.num_states)), action, ts)
         for (pid, bad, _, got, want), alpha in zip(hits, state_sets(sig)):

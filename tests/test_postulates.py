@@ -471,9 +471,10 @@ def test_agm_and_i1i2_take_lane_words_only_under_bevos_own_operator(monkeypatch,
         # Partial: revision by an ungraded state raises, as it always has.
         ((0b0001, 0b0100), "state index 1 out of range", "state index 1 out of range"),
         ((0b10,), "state index 0 out of range", "state index 0 out of range"),
-        # Grading a state outside the signature: the per-call route revises
-        # around it and combined change fails on its missing successor.
-        ((0b1, 0b11110), None, "tuple index out of range"),
+        # Grading states outside the signature, one in the first stratum, and
+        # leaving state 1 ungraded: combined change revises around the states
+        # outside, so revision's error comes first.
+        ((0b10001, 0b100), "state index 1 out of range", "state index 1 out of range"),
     ],
 )
 def test_rankings_off_the_signature_keep_the_per_call_route(strata, agm, i1i2, fluents):

@@ -313,3 +313,29 @@ def test_combined_change_matches_least_of_shifted_partial_ranking(case):
     else:
         expected = update(kappa, action, ts)
     assert got == expected
+
+
+@pytest.mark.parametrize("strata", [(0b100, 0b11), (0b1, 0b11110), (0b110, 0b1001)])
+def test_states_past_the_signature_are_left_out_of_shift_and_combined_change(strata):
+    """A ranking that also grades states past the signature, which have no
+    successor: both operators revise around those states, as ``revise``
+    never sees them, and so agree with the ranking cut to the signature."""
+    sig = make_signature(("p",), ("a",))
+    over, cut = Ranking(strata), Ranking(tuple(m & 0b11 for m in strata))
+    for succ in itertools.product(range(2), repeat=2):
+        ts = complete_transitions(sig, [(s, "a", d) for s, d in enumerate(succ)])
+        for action in sig.actions:
+            assert shift_ranking(over, action, ts) == shift_ranking(cut, action, ts)
+            for kappa, alpha in itertools.product(_sets(2)[1:], _sets(2)):
+                got = combined_change(kappa, action, alpha, ts, lambda k: over)
+                assert got == combined_change(kappa, action, alpha, ts, lambda k: cut)
+
+
+def test_combined_change_ranks_around_a_state_past_the_signature():
+    # State 2 heads the ranking but has no successor; {0} is reached from
+    # state 0 through the second stratum.
+    sig = make_signature(("p",), ("a",))
+    ts = complete_transitions(sig, [(1, "a", 0)])
+    ranking = Ranking((0b100, 0b11))
+    assert combined_change({0}, "a", {0}, ts, lambda k: ranking) == {0}
+    assert shift_ranking(ranking, "a", ts).strata == (0, 0b01)
