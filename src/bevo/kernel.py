@@ -131,13 +131,14 @@ def make_signature(fluents: Iterable[str], actions: Iterable[str] = ()) -> Signa
     return Signature(flu, act)
 
 
-# _BYTE_STATES[b] is the set of states set in byte value b: the one table
-# every mask is decoded through, and the state set of each mask below 256.
-# Built by doubling: the entries b + 2^k add state k to the entries b < 2^k.
+# _BYTE_STATES[b] is the set of states set in byte value b: the one table every
+# mask is decoded through, the state set of each mask below 256, and inverted by
+# _BYTE_MASKS.  Built by doubling: entries b + 2^k add state k to entries b < 2^k.
 _BYTE_STATES: tuple[frozenset[int], ...] = (frozenset(),)
 for _k in range(8):
     _BYTE_STATES += tuple(s | {_k} for s in _BYTE_STATES)
 del _k
+_BYTE_MASKS = {states: b for b, states in enumerate(_BYTE_STATES)}
 
 # Maps the indicator bytes 0 and 1 to the binary digits "0" and "1".
 _BITS = bytes.maketrans(b"\0\1", b"01")
@@ -171,6 +172,8 @@ def _mask(states: Iterable[int]) -> int:
 
 def _state_mask(states: Iterable[int], num_states: int) -> int:
     """The mask of a state set from outside the package, each index checked."""
+    if type(states) is frozenset and 0 <= (mask := _BYTE_MASKS.get(states, -1)) < 1 << num_states:
+        return mask
     if length_hint(states) <= _NARROW:
         mask = 0
         for s in states:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import chain, product, takewhile, zip_longest
+from itertools import chain, product, repeat, starmap, takewhile, zip_longest
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -332,27 +332,23 @@ def _kappa_word(n: int, kmasks: Iterable[int]) -> int:
     return sum(k << i * n for i, k in enumerate(kmasks))
 
 
-def _revised_words(cores: Iterable[int], rankings: Sequence[Ranking], n: int) -> dict[int, int]:
-    """Each core's word, lane i ``_revised`` by ``rankings[i]``, ranking by
-    ranking, so that a partial ranking raises where kappa by kappa would."""
+def _revised_words(cores: Iterable[int], rankings: Iterable[Ranking], n: int) -> dict[int, int]:
+    """Each core's word, lane i ``_revised`` by the i-th of ``rankings``, ranking
+    by ranking, so that a partial ranking raises where kappa by kappa would."""
     words = dict.fromkeys(cores, 0)
-    for s, ranking in zip(range(0, n * len(rankings), n), rankings):
+    for i, ranking in enumerate(rankings):
         for core in words:
-            words[core] |= _revised(core, ranking) << s
+            words[core] |= _revised(core, ranking) << i * n
     return words
 
 
-def _operator_words(sig: Signature, result: Callable[[StateSet, StateSet], StateSet]) -> list[int]:
-    """By alpha, the word of ``result(kappa, alpha)`` for every kappa, asked kappa by
-    kappa; a result not among ``sig``'s state sets is checked by ``_state_mask``."""
-    n, sets = sig.num_states, state_sets(sig)
-    codes = dict(zip(sets, range(len(sets))))
-    words = [0] * len(sets)
-    for s, kappa in zip(range(0, n * len(sets), n), sets[1:]):
-        for amask, alpha in enumerate(sets):
-            got = result(kappa, alpha)
-            known = isinstance(got, frozenset) and got in codes
-            words[amask] |= (codes[got] if known else _state_mask(got, n)) << s
+def _operator_words(sig: Signature, results: Iterable[StateSet]) -> list[int]:
+    """By alpha, the lane word of ``results``, given kappa-major for every
+    non-empty kappa and alpha; ``_state_mask`` refuses a state outside."""
+    n, size = sig.num_states, 1 << sig.num_states
+    words = [0] * size
+    for i, mask in enumerate(map(_state_mask, results, repeat(n))):
+        words[i % size] |= mask << i // size * n
     return words
 
 
@@ -454,13 +450,10 @@ def check_interaction(
     alpha = inst.observations[-1]
     reach = update_seq(universe(inst.signature), inst.actions, ts)
     base = update_seq(inst.kappa, inst.actions, ts)
-    if operator is None:
-        final = evolution_final_state(inst.kappa, inst.actions, alpha, ts, assign)
-    else:
-        final = operator(inst.kappa, inst.actions, alpha)
-    n = inst.signature.num_states
-    masks = _mask(alpha), _state_mask(final, n), _mask(reach), _mask(base)
-    hits = _interaction_hits(_lanes(n, 1), *masks)
+    final = (evolution_final_state(inst.kappa, inst.actions, alpha, ts, assign) if operator is None
+             else operator(inst.kappa, inst.actions, alpha))
+    ln = _lanes(inst.signature.num_states, 1)
+    hits = _interaction_hits(ln, _mask(alpha), _state_mask(final, ln.width), _mask(reach), _mask(base))
     vios = tuple(Violation(pid, inst, *map(_members, sides)) for pid, bad, _, *sides in hits if bad)
     note = "consistent" if reach & alpha else "repaired"
     return SuiteReport("interaction", "instance", 1, vios, (note,))
@@ -511,8 +504,8 @@ def run_interaction_suite(
     for ts, kmasks, trajectories, amasks in _instance_masks(sig, trajectory_len, samples, seed):
         kappas = tuple(map(_members, kmasks))
         count += len(kappas) * len(trajectories) * len(amasks)
-        induced = _induced_words(ln, ts, list(map(assign, kappas)), trajectories, amasks, words)
-        block: list[Violation] = []
+        induced = _induced_words(ln, ts, map(assign, kappas), trajectories, amasks, words)
+        block: list[tuple[int, int, Violation]] = []  # by kappa's mask, as the lanes are
         for succ, (group, finals) in induced.items():
             reach, base = _image(full, succ), ln.image(_kappa_word(n, kmasks), succ)
             found: list = []
@@ -524,10 +517,10 @@ def run_interaction_suite(
                     repaired += len(kappas) * len(group)
                     failures += sum(bad.bit_count() for _, bad, *_ in hits) * len(group)
             for acts in group if any(bad for _, bad, *_ in found) else ():
-                block += _lane_violations(sig, kappas, found, ts, acts)
+                t, decoded = trajectories.index(acts), _lane_violations(sig, kappas, found, ts, acts)
+                block += [(_mask(v.instance.kappa), t, v) for v in decoded]
         if block:
-            lane, rank = kappas.index, trajectories.index
-            vios += sorted(block, key=lambda v: (lane(v.instance.kappa), rank(v.instance.actions)))
+            vios += [v for *_, v in sorted(block, key=itemgetter(0, 1))]
     scope = _scope(sig, samples, seed, f"trajectories<={trajectory_len}")
     note = f"{repaired} instances needed repair; informational failures after repair: {failures}"
     return SuiteReport("interaction", scope, count - repaired, tuple(vios), (note,))
@@ -591,41 +584,44 @@ def check_I1_I2(
     results as ``_operator_words``, so a state outside the signature raises.
     """
     sig = ts.signature
-    n, kappas = sig.num_states, state_sets(sig, include_empty=False)
-    ln, ranked = _lanes(n, len(kappas)), _lane_route(sig, assign)
+    n, sets = sig.num_states, state_sets(sig)
+    kappas, ln = sets[1:], _lanes(n, len(sets) - 1)
     vios: list[Violation] = []
     for action in sig.actions:
-        succ = ts.successor_map(action)
-        got = _operator_words(sig, lambda kappa, alpha: op(kappa, action, alpha))
-        rankings = None if ranked else list(map(assign, kappas))
-        revised = ranked[2] if ranked else _revised_words(filter(None, _preimages(succ)), rankings, n)
-        vios += _lane_violations(sig, kappas, _i1i2_hits(ln, got, revised, succ), ts, (action,))
+        pres = _preimages(succ := ts.successor_map(action))
+        got = _operator_words(sig, starmap(op, product(kappas, (action,), sets)))
+        revised = _revised_words(filter(None, pres), list(map(assign, kappas)), n)
+        vios += _lane_violations(sig, kappas, _i1i2_hits(ln, got, revised, succ, pres), ts, (action,))
     return SuiteReport("i1i2", "one system", len(sig.actions) * len(kappas) << n, tuple(vios))
 
 
 def _preimages(succ: Sequence[int]) -> list[int]:
     """By observation mask, the mask of the states ``succ`` takes into it."""
-    return [sum(1 << s for s, t in enumerate(succ) if m >> t & 1) for m in range(1 << len(succ))]
+    pres = [0]
+    for t in range(len(succ)):  # the masks with bit t: those without it, plus t's preimage
+        pre = sum(1 << s for s, u in enumerate(succ) if u == t)
+        pres += [p | pre for p in pres]
+    return pres
 
 
-def _i1i2_hits(ln: _Lanes, got: list, revised: dict | list, succ: Sequence[int]) -> _Hits:
+def _i1i2_hits(ln: _Lanes, got: list, revised: dict | list, succ: _Seq, pres: list) -> _Hits:
     """I1 and I2 on the operator's words ``got`` by alpha: where alpha's
-    preimage pre is not empty, I1 wants the image of K*pre, ``revised[pre]``;
-    where it is, I2 wants kappa's image."""
+    preimage pre (in ``pres``) is not empty, I1 wants the image of K*pre,
+    ``revised[pre]``; where it is, I2 wants kappa's image."""
     moved = ln.image(_kappa_word(ln.width, range(1, 1 << ln.width)), succ)
-    for amask, (word, pre) in enumerate(zip(got, _preimages(succ))):
+    for amask, (word, pre) in enumerate(zip(got, pres)):
         pid, want = ("I1", ln.image(revised[pre], succ)) if pre else ("I2", moved)
         yield pid, ln.nonempty(word ^ want), (amask,), word, want
 
 
-def _combined_hits(ln: _Lanes, strata: Sequence[int], words: Sequence[int], succ: Sequence[int]) -> list:
+def _combined_hits(ln: _Lanes, strata: Sequence[int], words: Sequence[int], succ: _Seq) -> list:
     """``_i1i2_hits`` of bevo's ``combined_change`` on ``_ranked_lanes``: alpha's
     least part under the strata's images, which grade every state, or if no
     state reaches alpha (least part empty in every lane), kappa's image."""
     shifted = [ln.image(stratum, succ) for stratum in strata]
     moved = ln.image(_kappa_word(ln.width, range(1, 1 << ln.width)), succ)
     got = [ln.least(shifted, m * ln.unit) or moved for m in range(1 << ln.width)]
-    return list(_i1i2_hits(ln, got, words, succ))
+    return list(_i1i2_hits(ln, got, words, succ, _preimages(succ)))
 
 
 def run_i1i2_suite(
@@ -680,7 +676,8 @@ def check_agm(assign: RankingAssignment, sig: Signature) -> SuiteReport:
     Each K*alpha, for every non-empty kappa, is one lane word, built by
     ``_operator_words`` from one ``revise`` call per pair.
     """
-    return _agm_report(sig, _operator_words(sig, lambda kappa, alpha: revise(kappa, alpha, assign)))
+    sets = state_sets(sig)
+    return _agm_report(sig, _operator_words(sig, starmap(revise, product(sets[1:], sets, (assign,)))))
 
 
 def _agm_report(sig: Signature, words: Sequence[int]) -> SuiteReport:

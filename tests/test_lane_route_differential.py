@@ -8,11 +8,12 @@ would cancel out and still pass the suite.  Here every lane is checked
 against the public operators instead: each K*alpha word against
 ``revise``, and each side of ``_i1i2_hits`` against ``combined_change``
 (the operator) and against ``update`` of ``revise`` by ``preimage`` (I1) or
-of kappa (I2).
+of kappa (I2).  A ranking that grades states past the signature takes the
+per-call route instead, whose reports are checked against the reference.
 """
 
 import random
-from functools import cache
+from functools import cache, partial
 
 import pytest
 
@@ -20,13 +21,18 @@ from bevo import Ranking, combined_change, dalal_assignment, preimage, revise, u
 from bevo.kernel import _members
 from bevo.postulates import (
     _combined_hits,
+    _lane_route,
     _prefer_state_assignment,
     _random_system,
     _ranked_lanes,
+    check_agm,
+    run_agm_suite,
+    run_i1i2_suite,
     single_action_systems,
     state_sets,
     suite_signature,
 )
+from test_suite_differential import _i1i2_reference
 
 
 def _flat(sig):
@@ -132,3 +138,39 @@ def test_i1i2_sides_on_seeded_three_fluent_systems(seed):
     # 255 lanes of 8 states: 2,040-bit words.
     sig = suite_signature(3)
     _check_i1i2_sides(_random_system(random.Random(seed), sig), cache(dalal_assignment(sig)))
+
+
+@pytest.mark.parametrize("fluents, samples", [(1, None), (2, 6)])
+def test_a_ranking_past_the_signature_takes_the_per_call_route_to_the_reference(fluents, samples):
+    # Every state is graded, and states past the signature too, so the
+    # suites call the operators instance by instance.  Both revise around
+    # the states past the signature: the reports are the reference's, and
+    # those of the ranking cut to the signature, which takes the lane route.
+    sig = suite_signature(fluents)
+    over = Ranking((0b1, 0b11110))
+    cut = Ranking(tuple(m & (1 << sig.num_states) - 1 for m in over.strata))
+
+    def assign(kappa):
+        return over
+
+    assert _lane_route(sig, assign) is None
+    assert _lane_route(sig, lambda kappa: cut) is not None
+    agm = run_agm_suite(fluents, assign)
+    assert agm == check_agm(assign, suite_signature(fluents, with_action=False))
+    assert agm == run_agm_suite(fluents, lambda kappa: cut) and not agm.passed
+    rep = run_i1i2_suite(fluents, assign, samples=samples)
+    if samples is None:
+        systems = list(single_action_systems(sig))
+    else:
+        rng = random.Random(0)
+        systems = [_random_system(rng, sig) for _ in range(samples)]
+    count, want = 0, []
+    for ts in systems:
+        n, vios = _i1i2_reference(partial(combined_change, ts=ts, assign=assign), assign, ts)
+        count, want = count + n, want + vios
+    got = [
+        (v.postulate, (v.instance.kappa, *v.instance.actions, *v.instance.observations), v.lhs, v.rhs)
+        for v in rep.violations
+    ]
+    assert (rep.instances, got) == (count, want)
+    assert rep == run_i1i2_suite(fluents, lambda kappa: cut, samples=samples)
