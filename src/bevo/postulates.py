@@ -43,7 +43,7 @@ from .revision import (
     revise,
 )
 from . import evolution, revision
-from .evolution import _iterated_final, _plan, _revision_cores, _runs, evolve, iterated_revise
+from .evolution import _iterated_final, _revision_cores, _runs, evolve, iterated_revise
 from .evolution import padded_view, recency
 
 _FLUENT_POOL = ("p", "q", "r", "s", "u")
@@ -342,13 +342,13 @@ def _revised_words(cores: Iterable[int], rankings: Iterable[Ranking], n: int) ->
     return words
 
 
-def _operator_words(sig: Signature, results: Iterable[StateSet]) -> list[int]:
-    """By alpha, the lane word of ``results``, given kappa-major for every
-    non-empty kappa and alpha; ``_state_mask`` refuses a state outside."""
-    n, size = sig.num_states, 1 << sig.num_states
-    words = [0] * size
+def _operator_words(sig: Signature, results: Iterable[StateSet], count: int = 0) -> list[int]:
+    """By alpha, the lane word of ``results``, given kappa-major for every kappa
+    and ``count`` alphas (default: every mask); ``_state_mask`` refuses a state outside."""
+    n, count = sig.num_states, count or 1 << sig.num_states
+    words = [0] * count
     for i, mask in enumerate(map(_state_mask, results, repeat(n))):
-        words[i % size] |= mask << i // size * n
+        words[i % count] |= mask << i // count * n
     return words
 
 
@@ -405,15 +405,15 @@ def evolution_final_state(
 
 
 def _padded_core(acts: tuple[str, ...], amask: int, ts: TransitionSystem) -> int:
-    """The mask ``evolution_final_state`` revises kappa by: the one core of
-    the padded view's plan under recency."""
-    view = padded_view(acts, _members(amask), ts.signature)
-    return _plan(view, ts, recency)[2][0]
+    """The mask ``evolution_final_state`` revises kappa by: alpha's preimage under
+    the composite, or every state if that is empty (the padded view's one repair)."""
+    pre = sum(1 << s for s, t in enumerate(_composite(acts, ts)) if amask >> t & 1)
+    return pre or (1 << ts.signature.num_states) - 1
 
 
 def _composite(acts: tuple[str, ...], ts: TransitionSystem) -> tuple[int, ...]:
-    """The successor function of a whole trajectory: the last run of ``_runs``."""
-    *_, run = _runs(acts, ts)
+    """A trajectory's successor function, the last run of ``_runs``; the identity for no actions."""
+    *_, run = range(ts.signature.num_states), *_runs(acts, ts)
     return tuple(run)
 
 
@@ -461,18 +461,20 @@ def check_interaction(
 
 def _induced_words(
     ln: _Lanes, ts: TransitionSystem, rankings: Sequence[Ranking], trajectories: Iterable[tuple],
-    amasks: Sequence[int], words: Optional[Sequence[int]] = None,
+    amasks: Sequence[int], words: Optional[Sequence[int]] = None, cores: Optional[dict] = None,
 ) -> dict[tuple[int, ...], tuple[list[tuple[str, ...]], list[int]]]:
     """By composite successor function, its trajectories (``a``, ``a,noop``
     and ``noop,a`` share one) and, by alpha, the change evolution over their
-    padded view induces for every lane's ranking: the image of the core's
-    word, from ``words`` (the K*alpha words) or else ``_revised_words``."""
+    padded view induces for every lane's ranking: the image of the core's word,
+    from ``words`` or else ``_revised_words``; ``cores`` keeps each core by (composite, alpha)."""
     groups: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
     for acts in trajectories:
         groups.setdefault(_composite(acts, ts), []).append(acts)
-    cores = {succ: [_padded_core(trjs[0], m, ts) for m in amasks] for succ, trjs in groups.items()}
-    words = words or _revised_words(chain.from_iterable(cores.values()), rankings, ln.width)
-    return {s: (trjs, [ln.image(words[c], s) for c in cores[s]]) for s, trjs in groups.items()}
+    cores = {} if cores is None else cores
+    keys = [(succ, m) for succ in groups for m in amasks]
+    cores.update({(s, m): _padded_core(groups[s][0], m, ts) for s, m in keys if (s, m) not in cores})
+    words = words or _revised_words(map(cores.__getitem__, keys), rankings, ln.width)
+    return {s: (trjs, [ln.image(words[cores[s, m]], s) for m in amasks]) for s, trjs in groups.items()}
 
 
 def run_interaction_suite(
@@ -490,21 +492,23 @@ def run_interaction_suite(
 
     Each instance is what ``check_interaction`` evaluates, on the words of
     ``_induced_words`` for a block of ``_instance_masks``: a system's every
-    kappa at once (with ``_lane_route`` if it applies), or one sampled lane.
+    kappa at once, or one sampled lane.
     Each composite's hits, decoded per trajectory, are merged back in order.
     """
     sig, assign, samples = _suite_scope("interaction", fluents, samples, assign)
     _require_length("trajectory_len", trajectory_len)
     n, full = sig.num_states, (1 << sig.num_states) - 1
-    ranked = _lane_route(sig, assign) if samples is None else None
-    words = ranked[2] if ranked else None
+    # A sweep revises every kappa by each non-empty mask once; a draw, by its own cores.
+    rankings = () if samples else map(assign, state_sets(sig, include_empty=False))
+    words = None if samples else _revised_words(range(1, full + 1), rankings, n)
     ln = _lanes(n, full if samples is None else 1)
     count = repaired = failures = 0
     vios: list[Violation] = []
+    cores: dict = {}
     for ts, kmasks, trajectories, amasks in _instance_masks(sig, trajectory_len, samples, seed):
         kappas = tuple(map(_members, kmasks))
         count += len(kappas) * len(trajectories) * len(amasks)
-        induced = _induced_words(ln, ts, map(assign, kappas), trajectories, amasks, words)
+        induced = _induced_words(ln, ts, map(assign, kappas), trajectories, amasks, words, cores)
         block: list[tuple[int, int, Violation]] = []  # by kappa's mask, as the lanes are
         for succ, (group, finals) in induced.items():
             reach, base = _image(full, succ), ln.image(_kappa_word(n, kmasks), succ)
@@ -519,8 +523,7 @@ def run_interaction_suite(
             for acts in group if any(bad for _, bad, *_ in found) else ():
                 t, decoded = trajectories.index(acts), _lane_violations(sig, kappas, found, ts, acts)
                 block += [(_mask(v.instance.kappa), t, v) for v in decoded]
-        if block:
-            vios += [v for *_, v in sorted(block, key=itemgetter(0, 1))]
+        vios += [v for *_, v in sorted(block, key=itemgetter(0, 1))]
     scope = _scope(sig, samples, seed, f"trajectories<={trajectory_len}")
     note = f"{repaired} instances needed repair; informational failures after repair: {failures}"
     return SuiteReport("interaction", scope, count - repaired, tuple(vios), (note,))
@@ -723,23 +726,20 @@ def run_agm_suite(
 # Iterated revision.
 
 
-def _dp_violations(
-    beta: StateSet, alpha: StateSet, two_step: StateSet, direct: StateSet
-) -> Iterator[tuple[str, StateSet, StateSet]]:
-    """Yield (postulate, lhs, rhs) for each DP law broken at (kappa, beta, alpha).
-
-    ``two_step`` is kappa revised by beta then alpha, ``direct`` by alpha alone.
-    """
-    if alpha <= beta and two_step != direct:
-        yield "DP1", two_step, direct
-    if not alpha & beta and two_step != direct:
-        yield "DP2", two_step, direct
-    if direct <= beta and not two_step <= beta:
-        yield "DP3", two_step, beta
-    if direct & beta and not two_step & beta:
-        yield "DP4", two_step, beta
-    if alpha & beta and not two_step <= beta:
-        yield "REC", two_step, beta
+def _dp_hits(ln: _Lanes, pairs: Iterable[tuple[int, int]], direct: dict[int, int]) -> _Hits:
+    """DP1-DP4 and REC at each (beta, alpha) of ``pairs``, on kappa revised by
+    beta then alpha, ``ln.fin((beta, alpha))``, and by alpha, ``direct[alpha]``."""
+    nonempty = ln.nonempty
+    for beta, alpha in pairs:
+        two, now, b, obs = ln.fin((beta, alpha)), direct[alpha], beta * ln.unit, (beta, alpha)
+        if not alpha & ~beta:
+            yield "DP1", nonempty(two ^ now), obs, two, now
+        if not alpha & beta:
+            yield "DP2", nonempty(two ^ now), obs, two, now
+        yield "DP3", nonempty(two & ~b) & ~nonempty(now & ~b), obs, two, b
+        yield "DP4", nonempty(now & b) & ~nonempty(two & b), obs, two, b
+        if alpha & beta:
+            yield "REC", nonempty(two & ~b), obs, two, b
 
 
 def run_dp_suite(
@@ -753,25 +753,30 @@ def run_dp_suite(
     The two-step revision is the one induced by observation-only evolution
     under recency: conflicting evidence keeps the more recent observation.
     Quantifies over non-empty belief states and non-empty observations.
+    ``_dp_hits`` checks every kappa at once on ``_lehmann_lanes`` and K*alpha
+    words, a draw on one lane; violations go by kappa, beta, alpha, then law.
     """
     sig, assign, samples = _suite_scope("dp", fluents, samples, assign)
-    rev = partial(revise, assign=assign)
+    full = (1 << sig.num_states) - 1
     if samples is None:
-        nonempty = state_sets(sig, include_empty=False)
-        triples: Iterator[tuple[StateSet, ...]] = product(nonempty, repeat=3)
-        rev = cache(rev)  # only the exhaustive sweep repeats (kappa, alpha)
+        nonempty = range(1, full + 1)
+        pairs = list(product(nonempty, repeat=2))
+        blocks: Iterable = [(state_sets(sig, include_empty=False), pairs, nonempty)]
     else:
         rng = random.Random(seed)
-        size = 1 << sig.num_states
-        triples = (tuple(_members(rng.randrange(1, size)) for _ in range(3)) for _ in range(samples))
+        draws = ([rng.randrange(1, full + 1) for _ in range(3)] for _ in range(samples))
+        blocks = (((_members(kmask),), [(beta, alpha)], (alpha,)) for kmask, beta, alpha in draws)
     vios: list[Violation] = []
     count = 0
-    for kappa, beta, alpha in triples:
-        count += 1
-        two_step = iterated_revise(kappa, (beta, alpha), sig, assign)
-        for pid, lhs, rhs in _dp_violations(beta, alpha, two_step, rev(kappa, alpha)):
-            inst = Instance(sig, None, kappa, (), (beta, alpha))
-            vios.append(Violation(pid, inst, lhs, rhs))
+    for kappas, pairs, amasks in blocks:
+        count += len(kappas) * len(pairs)
+        if revise is revision.revise:  # bevo's own, both names read now: on masks
+            direct = _revised_words(amasks, map(assign, kappas), sig.num_states)
+        else:  # one call per (kappa, alpha)
+            got = starmap(revise, product(kappas, map(_members, amasks), (assign,)))
+            direct = dict(zip(amasks, _operator_words(sig, got, len(amasks))))
+        lanes = _lehmann_lanes(sig, assign, kappas)
+        vios += _lane_violations(sig, kappas, _dp_hits(lanes, pairs, direct))
     return SuiteReport("dp", _scope(sig, samples, seed, "triples"), count, tuple(vios))
 
 
@@ -780,15 +785,16 @@ def naive_two_shot_dp_example() -> Violation:
 
     The second revision reranks around the intermediate belief state and
     forgets the original one, which the iterated postulates do not allow.
+    Each (kappa, beta, alpha) is ``_dp_hits`` on one lane.
     """
     sig = suite_signature(2, with_action=False)
     assign = dalal_assignment(sig)
-    nonempty = state_sets(sig, include_empty=False)
-    for kappa, beta, alpha in product(nonempty, repeat=3):
+    for kappa, beta, alpha in product(state_sets(sig, include_empty=False), repeat=3):
         two_step = revise(revise(kappa, beta, assign), alpha, assign)
-        direct = revise(kappa, alpha, assign)
-        for pid, lhs, rhs in _dp_violations(beta, alpha, two_step, direct):
-            return Violation(pid, Instance(sig, None, kappa, (), (beta, alpha)), lhs, rhs)
+        ln = _lanes(sig.num_states, 1, lambda seq: _mask(two_step))
+        pair, direct = (_mask(beta), _mask(alpha)), _mask(revise(kappa, alpha, assign))
+        for vio in _lane_violations(sig, (kappa,), _dp_hits(ln, [pair], {pair[1]: direct})):
+            return vio
     raise RuntimeError("no naive two-shot counterexample found")
 
 

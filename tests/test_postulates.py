@@ -464,6 +464,51 @@ def test_agm_and_i1i2_take_lane_words_only_under_bevos_own_operator(monkeypatch,
     assert len(calls) == ((size - 1) * size if run is run_agm_suite else want.instances)
 
 
+@pytest.mark.parametrize("module, name", [(revision, "revise"), (evolution, "iterated_revise")])
+def test_dp_takes_lane_words_only_under_bevos_own_operators(monkeypatch, module, name):
+    # run_dp_suite reads K*alpha and the two-step revision from lane words
+    # while postulates' operator is bevo's own, read at call time, and calls
+    # a swapped-in revise once per (kappa, alpha), or a swapped-in
+    # iterated_revise once per (kappa, sequence).  Sampled draws take the
+    # same two routes.
+    want, sampled = run_dp_suite(fluents=2), run_dp_suite(fluents=3, samples=200, seed=1)
+    real = getattr(module, name)
+    calls = Counter()
+
+    def counting(kappa, observed, *args, **kwargs):
+        calls[kappa, observed] += 1
+        return real(kappa, observed, *args, **kwargs)
+
+    # One wrapper under both names, as a tracer installs it.
+    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(postulates, name, counting)
+    assert run_dp_suite(fluents=2) == want
+    assert run_dp_suite(fluents=3, samples=200, seed=1) == sampled
+    assert not calls
+
+    monkeypatch.setattr(module, name, real)
+    assert run_dp_suite(fluents=2) == want
+    assert set(calls.values()) == {1}
+    n = len(state_sets(suite_signature(2), include_empty=False))
+    assert len(calls) == (n * n if name == "revise" else n * n * n)
+    calls.clear()
+    assert run_dp_suite(fluents=3, samples=200, seed=1) == sampled
+    assert sum(calls.values()) == 200
+
+
+@pytest.mark.parametrize("samples", [None, 5])
+def test_dp_refuses_a_revision_outside_the_signature(monkeypatch, samples):
+    # The sweep packs K*alpha for each kappa into num_states bits of one
+    # word per alpha; a state index past them would land in the next
+    # kappa's bits.
+    def outside(kappa, alpha, assign):
+        return frozenset(alpha) | {2}
+
+    monkeypatch.setattr(postulates, "revise", outside)
+    with pytest.raises(ValueError, match="^state index 2 out of range$"):
+        run_dp_suite(fluents=1, samples=samples)
+
+
 @pytest.mark.parametrize("fluents", [1, 2])
 @pytest.mark.parametrize(
     "strata, agm, i1i2",
